@@ -27,25 +27,6 @@ func TestRunArgHandling(t *testing.T) {
 	}
 }
 
-// TestTimeShardsFlagValidation pins the -time-shards contract: zero,
-// negative and malformed values are usage errors (exit 2); valid depths
-// run to completion.
-func TestTimeShardsFlagValidation(t *testing.T) {
-	defer experiments.SetTimeShards(0)
-	for _, bad := range []string{"0", "-3", "two"} {
-		if code := run([]string{"-time-shards", bad, "table1"}); code != 2 {
-			t.Errorf("-time-shards %s: exit %d, want 2", bad, code)
-		}
-	}
-	code := run([]string{
-		"-quick", "-insts", "20000", "-warmup", "20000",
-		"-benchmarks", "exchange2", "-time-shards", "8", "fig6",
-	})
-	if code != 0 {
-		t.Errorf("-time-shards 8 fig6: exit %d, want 0", code)
-	}
-}
-
 // TestFlagValidation pins the usage-error contract across every numeric
 // and enumerated knob: an out-of-range or unparsable value must exit 2
 // with a one-line diagnostic before any simulation starts, and the
@@ -58,7 +39,6 @@ func TestFlagValidation(t *testing.T) {
 		want int
 	}{
 		{"negative -j", []string{"-j", "-1", "table1"}, 2},
-		{"negative -check-workers", []string{"-check-workers", "-2", "table1"}, 2},
 		{"negative -fault-trials", []string{"-fault-trials", "-1", "table1"}, 2},
 		{"negative -campaign-trials", []string{"-campaign-trials", "-4", "table1"}, 2},
 		{"negative -campaign-workers", []string{"-campaign-workers", "-1", "table1"}, 2},
@@ -66,7 +46,6 @@ func TestFlagValidation(t *testing.T) {
 		{"negative -warmup", []string{"-warmup", "-100", "table1"}, 2},
 		{"zero -trace-cap", []string{"-trace-cap", "0", "table1"}, 2},
 		{"negative -trace-cap", []string{"-trace-cap", "-8", "table1"}, 2},
-		{"zero -time-shards", []string{"-time-shards", "0", "table1"}, 2},
 		{"zero -fuzz-seeds", []string{"-fuzz-seeds", "0", "table1"}, 2},
 		{"negative -fuzz-seeds", []string{"-fuzz-seeds", "-16", "table1"}, 2},
 		{"zero -fuzz-insts", []string{"-fuzz-insts", "0", "table1"}, 2},
@@ -76,7 +55,6 @@ func TestFlagValidation(t *testing.T) {
 		// Valid edges: zero means "default" for the counts, and every
 		// named strategy the flag accepts must reach the experiment.
 		{"zero -j", []string{"-j", "0", "table1"}, 0},
-		{"zero -check-workers", []string{"-check-workers", "0", "table1"}, 0},
 		{"auto -strategy", []string{"-strategy", "auto", "table1"}, 0},
 		{"lockstep -strategy", []string{"-strategy", "lockstep", "table1"}, 0},
 		{"chunk-replay -strategy", []string{"-strategy", "chunk-replay", "table1"}, 0},

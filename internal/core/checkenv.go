@@ -8,8 +8,8 @@ import (
 
 // logCursor walks a segment's load-store log in commit order. Both
 // replay environments — the lockstep CheckerEnv and the divergent-mode
-// DivergentEnv — consume the log through one cursor, so the two check
-// modes share the log-accounting semantics (exhaustion, leftover
+// DivergentEnv — consume the log through one cursor, so the two replay
+// domains share the log-accounting semantics (exhaustion, leftover
 // entries, entry indexing for mismatch reports).
 type logCursor struct {
 	seg      *Segment

@@ -38,39 +38,7 @@ func (m Mode) String() string {
 	}
 }
 
-// CheckMode selects how checker cores re-execute a segment (DME-style
-// divergent checking versus the paper's identical replay).
-type CheckMode uint8
-
-// Check modes. The zero value is lockstep so existing configurations keep
-// their meaning.
-const (
-	// CheckLockstep replays the identical program over the identical
-	// address layout — the paper's checking. Layout-correlated faults
-	// (stuck address bits, DRAM row faults) corrupt main and checker
-	// identically and escape.
-	CheckLockstep CheckMode = iota
-	// CheckDivergent replays a structurally decorrelated program variant
-	// (shifted data segment, permuted register allocation) and compares
-	// both lanes in a canonical, layout-independent domain. Requires
-	// full-coverage mode, no Hash Mode, and single-hart workloads (the
-	// checker keeps a private memory image, which cross-hart
-	// communication would invalidate).
-	CheckDivergent
-)
-
-func (m CheckMode) String() string {
-	switch m {
-	case CheckLockstep:
-		return "lockstep"
-	case CheckDivergent:
-		return "divergent"
-	default:
-		return "invalid"
-	}
-}
-
-// DivergentConfig tunes the decorrelated variant the divergent check mode
+// DivergentConfig tunes the decorrelated variant the divergent strategy
 // builds for each workload.
 type DivergentConfig struct {
 	// DataShiftBytes relocates the variant's data segment (0 = automatic:
@@ -79,36 +47,6 @@ type DivergentConfig struct {
 	DataShiftBytes uint64
 	// RegSeed seeds the register-allocation permutation (0 behaves as 1).
 	RegSeed uint64
-}
-
-// BlockExecMode selects the functional execution engine.
-type BlockExecMode uint8
-
-// Block-execution modes. The zero value defers to the process-wide
-// default so existing configurations pick up the block engine without
-// edits.
-const (
-	// BlockExecAuto defers to the runner's process default (on, unless
-	// the CLI passed -block-exec=false).
-	BlockExecAuto BlockExecMode = iota
-	// BlockExecOn runs main-lane emulation and checker replay through
-	// the block-compiled engine.
-	BlockExecOn
-	// BlockExecOff forces the per-instruction engine everywhere.
-	BlockExecOff
-)
-
-func (m BlockExecMode) String() string {
-	switch m {
-	case BlockExecAuto:
-		return "auto"
-	case BlockExecOn:
-		return "on"
-	case BlockExecOff:
-		return "off"
-	default:
-		return "invalid"
-	}
 }
 
 // LaneMain overrides one lane's main-core model.
@@ -193,17 +131,14 @@ type Config struct {
 
 	Mode     Mode
 	HashMode bool
-	// CheckMode selects lockstep (identical replay) or divergent
-	// (decorrelated variant, canonical comparison) checking.
-	CheckMode CheckMode
-	// Divergent tunes the decorrelated variant (CheckDivergent only).
+	// Divergent tunes the decorrelated variant (StrategyDivergent only).
 	Divergent DivergentConfig
 	// Strategy selects the segment-verification strategy (strategy.go):
-	// scheduling granularity and how checker acquisition couples to
-	// main-core commit. The zero value (StrategyAuto) resolves from
-	// CheckMode, so existing configurations keep their meaning. Unlike
-	// the wall-clock knobs below, the strategy changes simulated
-	// outcomes and is part of the run-cache fingerprint.
+	// scheduling granularity, the comparison domain (identical replay or
+	// a decorrelated variant), and how checker acquisition couples to
+	// main-core commit. The zero value (StrategyAuto) runs lockstep.
+	// Unlike Spec below, the strategy changes simulated outcomes and is
+	// part of the run-cache fingerprint.
 	Strategy Strategy
 	// StrategyTuning tunes the chunk-replay and relaxed-start
 	// strategies (zero values select the documented defaults).
@@ -237,44 +172,14 @@ type Config struct {
 	// sampling.
 	SamplePeriod int
 
-	// CheckWorkers bounds how many segment verifications may run
-	// concurrently with the main-lane simulation inside one Run — the
-	// simulator-side analogue of the paper's own producer/consumer
-	// overlap between main and checker cores. Zero or one runs every
-	// check inline at its dispatch point. Results are byte-identical at
-	// every setting: the pipelined engine snapshots all shared inputs at
-	// dispatch and buffers all shared-state effects until a
-	// protocol-defined join (pipeline.go), so CheckWorkers only changes
-	// wall-clock time, never simulated outcomes. Runs with
-	// Recovery.Enabled or a CheckerInterceptor always dispatch
-	// synchronously through the legacy path.
-	CheckWorkers int
-
-	// TimeShards is the depth of parallel-in-time speculation when a
-	// SpecCache is attached: how many segments a lane's functional
-	// producer may emulate ahead of the deterministic timing stitch
-	// (and the spacing of the in-run fallback snapshots). <= 1 produces
-	// inline (sequential). Like CheckWorkers, this changes wall-clock
-	// time only — stitched results are byte-identical at every setting
-	// — so it is excluded from the run-cache fingerprint.
-	TimeShards int
-	// Spec, when non-nil, enables speculative segment emulation and
-	// cross-run functional-stream memoisation over the given cache
-	// (spec.go). Observability-and-performance only: every simulated
-	// outcome is byte-identical with or without it, enforced by a
-	// per-segment continuity check with sequential fallback. Excluded
-	// from the run-cache fingerprint.
-	Spec *SpecCache
-	// BlockExec selects the block-compiled execution engine (basic-block
-	// translation with batched effect delivery, emu/block.go). Like
-	// CheckWorkers and TimeShards it changes wall-clock time only —
-	// simulated outcomes are bit-identical on either engine, enforced by
-	// the differential tests in core/blockexec_test.go — so it is
-	// excluded from the run-cache fingerprint. The zero value
-	// (BlockExecAuto) lets the experiments runner apply the process-wide
-	// default, which is on.
-	BlockExec BlockExecMode
-
+	// Spec, when non-nil, enables cross-run functional-stream
+	// memoisation over the given cache (spec.go): eligible lanes record
+	// their instruction stream from the live segment loop, or replay one
+	// recorded earlier instead of emulating. Wall-clock only: every
+	// simulated outcome is byte-identical with or without it, enforced
+	// by a per-segment continuity check with sequential fallback.
+	// Excluded from the run-cache fingerprint.
+	Spec   *SpecCache
 	NoC    noc.Config
 	Layout *noc.Layout
 	// LSLTrafficOnNoC, when false, omits log pushes from the mesh load
@@ -369,36 +274,21 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
-	switch c.CheckMode {
-	case CheckLockstep:
-	case CheckDivergent:
+	switch c.ResolvedStrategy() {
+	case StrategyLockstep:
+	case StrategyDivergent:
 		if len(c.Checkers) > 0 {
 			if c.Mode != ModeFullCoverage {
-				return fmt.Errorf("core: divergent checking requires full-coverage mode (opportunistic skips would desynchronise the checker's private memory)")
+				return fmt.Errorf("core: divergent strategy requires full-coverage mode (opportunistic skips would desynchronise the checker's private memory)")
 			}
 			if c.HashMode {
-				return fmt.Errorf("core: divergent checking is incompatible with Hash Mode (the digest absorbs raw addresses)")
+				return fmt.Errorf("core: divergent strategy is incompatible with Hash Mode (the digest absorbs raw addresses)")
 			}
 		}
 		if c.Divergent.DataShiftBytes%4096 != 0 {
 			return fmt.Errorf("core: divergent data shift %#x not 4KiB-aligned", c.Divergent.DataShiftBytes)
 		}
-	default:
-		return fmt.Errorf("core: invalid check mode %d", c.CheckMode)
-	}
-	switch st := c.ResolvedStrategy(); st {
-	case StrategyLockstep:
-		if c.CheckMode != CheckLockstep {
-			return fmt.Errorf("core: lockstep strategy requires lockstep check mode (got %v)", c.CheckMode)
-		}
-	case StrategyDivergent:
-		if c.CheckMode != CheckDivergent {
-			return fmt.Errorf("core: divergent strategy requires CheckMode CheckDivergent (the strategy replays the decorrelated plan)")
-		}
 	case StrategyChunkReplay:
-		if c.CheckMode != CheckLockstep {
-			return fmt.Errorf("core: chunk-replay strategy requires lockstep check mode (got %v)", c.CheckMode)
-		}
 		if len(c.Checkers) > 0 {
 			if c.Mode != ModeFullCoverage {
 				return fmt.Errorf("core: chunk-replay strategy requires full-coverage mode (chunks assume every segment is logged)")
@@ -408,9 +298,6 @@ func (c *Config) Validate() error {
 			}
 		}
 	case StrategyRelaxed:
-		if c.CheckMode != CheckLockstep {
-			return fmt.Errorf("core: relaxed strategy requires lockstep check mode (got %v)", c.CheckMode)
-		}
 		if len(c.Checkers) > 0 && c.Mode != ModeFullCoverage {
 			return fmt.Errorf("core: relaxed strategy requires full-coverage mode (opportunistic mode already decouples checking from commit)")
 		}
@@ -419,12 +306,6 @@ func (c *Config) Validate() error {
 	}
 	if c.StrategyTuning.MaxLagSegments < 0 {
 		return fmt.Errorf("core: negative relaxed-start lag bound %d", c.StrategyTuning.MaxLagSegments)
-	}
-	if c.TimeShards < 0 {
-		return fmt.Errorf("core: negative time shards %d", c.TimeShards)
-	}
-	if c.BlockExec > BlockExecOff {
-		return fmt.Errorf("core: invalid block-exec mode %d", c.BlockExec)
 	}
 	if err := c.Recovery.Validate(); err != nil {
 		return err

@@ -1,53 +1,44 @@
 package core
 
-// Pipelined verification: overlap a segment's checker-side replay with
-// the main lane's continued simulation, without changing any simulated
-// outcome.
+// Deferred-join verification: a lockstep check runs at its dispatch
+// point, but every effect it has on shared simulator state is merged
+// later, at a protocol-defined join.
 //
-// The synchronous engine runs CheckSegment inline inside dispatch, so a
-// check reads and writes shared simulator state (the LLC, the DRAM
-// model, the mesh flow tracker, the contention statistics) interleaved
-// with main-lane progress. To run the check on another goroutine — or
-// merely later on the same one — every one of those touches must become
-// either a dispatch-time snapshot (inputs) or a join-time merge
-// (effects):
+// The synchronous engine (System.dispatch) runs CheckSegment against
+// the live shared state: the checker's beyond-L2 accesses read and
+// write the LLC, the DRAM model, the mesh flow tracker and the
+// contention statistics interleaved with main-lane progress. Under the
+// deferred-join protocol every one of those touches becomes either a
+// dispatch-time snapshot (inputs) or a join-time merge (effects):
 //
 //   - Inputs. The check's start time, the per-line mesh transfer
 //     latency, and the per-LLC-slice beyond-L2 latencies the checker's
-//     instruction fetches would observe are all computed at dispatch,
-//     under the mesh load current at that protocol point
-//     (snapshotBeyond). Mesh load only changes at flow refreshes, which
-//     are orchestrator events, so in the synchronous engine these
-//     values are constant for the duration of an inline check anyway.
-//   - Effects. The checker core itself (caches, predictor, cycle
-//     clock) is owned by the pending check until its join; everything
-//     shared — LLC accesses, flow-tracker bytes, queueing-delay
-//     statistics, detection accounting, the checker's own
-//     FreeAtNS/Busy/Insts/Segments — is buffered in the pendingCheck
-//     and merged by joinCheck.
+//     instruction fetches observe are all computed at dispatch, under
+//     the mesh load current at that protocol point (snapshotBeyond).
+//   - Effects. LLC accesses, flow-tracker bytes, queueing-delay
+//     statistics, detection accounting, and the checker's own
+//     FreeAtNS/Busy/Insts/Segments are buffered in the pendingCheck and
+//     merged by joinCheck.
 //
-// Joins happen only at protocol-defined points of the deterministic
-// main loop: allocator pool queries (AcquireFree forces a pending
-// checker only when its completion floor says it might already be
-// free; EarliestFree forces unconditionally), the warmup snapshot, and
-// final collection. Dispatch points, join points, snapshots and merge
-// order are therefore identical at every CheckWorkers setting,
-// including the inline CheckWorkers<=1 mode that runs the job
-// immediately but still defers the merge — which is what makes results
-// byte-identical at any worker count.
+// Joins happen only at protocol-defined points of the run loop:
+// allocator pool queries (AcquireFree forces a pending checker only
+// when its completion floor says it might already be free;
+// EarliestFree forces unconditionally), the warmup snapshot, and final
+// collection.
 //
-// One deliberate model change versus the synchronous path: a checker
+// Checks run inline, on the run loop's own goroutine. The protocol is
+// not a concurrency device: it is the checker's memory model. A checker
 // beyond-L2 access is charged the snapshotted mesh round trip plus the
-// L3 hit latency, without consulting the (shared, concurrently
-// evolving) LLC contents for a miss. Checker loads and stores never
-// touch the memory hierarchy at all (the LSL$ serves them, section IV
-// footnote 12), so beyond-L2 traffic is instruction fetch only; the
-// checkers' code working set sits comfortably in their private L2, so
-// such accesses all but vanish after the first segments. The buffered
-// accesses are still replayed into the LLC and the flow tracker at the
-// join so occupancy and NoC load evolve as before.
+// L3 hit latency, without consulting the LLC contents for a miss, and
+// the LLC sees the access only at the join. Checker loads and stores
+// never touch the memory hierarchy at all (the LSL$ serves them,
+// section IV footnote 12), so beyond-L2 traffic is instruction fetch
+// only; the checkers' code working set sits comfortably in their
+// private L2, so such accesses all but vanish after the first
+// segments. The merge order at joins still moves LLC occupancy and NoC
+// load, so the published tables depend on the protocol.
 //
-// Runs with Recovery.Enabled or a CheckerInterceptor keep the legacy
+// Runs with Recovery.Enabled or a CheckerInterceptor keep the
 // synchronous dispatch: re-replay, forensics and quarantine decisions
 // consume a check's verdict immediately and reshape the pool, and
 // injectors carry per-run mutable state, so neither composes with
@@ -88,7 +79,7 @@ func (b *checkerBuffer) access(addr uint64, write bool) float64 {
 }
 
 // beyondBuffered is the checker core's beyond-L2 hook under the
-// pipelined engine: it routes through the owning pending check's
+// deferred-join protocol: it routes through the owning pending check's
 // buffer. c.bb is installed at dispatch, before the check can execute
 // a single instruction, so it is never nil while the core runs.
 func (c *Checker) beyondBuffered(addr uint64, write, fetch bool) float64 {
@@ -97,8 +88,7 @@ func (c *Checker) beyondBuffered(addr uint64, write, fetch bool) float64 {
 
 // snapshotBeyond fills bb's per-slice latency tables for a checker at
 // pos under the current mesh load. Dispatch-time snapshots make a
-// check's latencies a function of its dispatch point alone, so they do
-// not depend on when — or on which goroutine — the check runs.
+// check's latencies a function of its dispatch point alone.
 func (s *System) snapshotBeyond(pos noc.Coord, bb *checkerBuffer) {
 	n := len(s.layout.LLCPos)
 	if cap(bb.latNS) < n {
@@ -135,9 +125,9 @@ type pendingCheck struct {
 	lineLatNS float64
 	bb        checkerBuffer
 
-	// Parallel-in-time state (spec.go). recInto, when non-nil, receives
-	// the verdict at the join, so a recording stream can prove itself
-	// clean before publication. specReplay marks a replay-lane segment:
+	// SpecCache state (spec.go). recInto, when non-nil, receives the
+	// verdict at the join, so a recording stream can prove itself clean
+	// before publication. specReplay marks a replay-lane segment:
 	// the checker core re-walks the segment's effect sequence from
 	// specCur — the lane's cursor snapshot at segment entry
 	// (bit-equivalent to a live replay for every field the timing model
@@ -148,19 +138,16 @@ type pendingCheck struct {
 	specCur    specCursor
 	recInto    *recSeg
 
-	// Job outputs. Written by run, read after the done barrier.
+	// Job outputs, written by run and merged by joinCheck.
 	res    CheckResult
 	durNS  float64
 	doneNS float64
-	// done is closed when the job's goroutine finishes; nil when the
-	// job ran inline (CheckWorkers <= 1).
-	done chan struct{}
 }
 
 // run executes the verification itself. It touches only checker-owned
 // state (the core's caches, predictor and clock), the pending check's
 // own buffer, and immutable inputs — never the shared LLC, DRAM, mesh
-// or lane results — so it is safe on a worker goroutine.
+// or lane results.
 func (p *pendingCheck) run(s *System) {
 	ck := p.ck
 	// The log lines land in the checker's repurposed L1D, evicting any
@@ -177,40 +164,15 @@ func (p *pendingCheck) run(s *System) {
 		// it was recorded, so only the checker-core timing needs
 		// computing — off the same reconstructed effect sequence the
 		// main core consumed, re-walked from the segment-entry cursor.
-		// Under the block engine the reconstruction still advances one
-		// effect at a time (it is a table walk, not emulation); only the
-		// timing delivery batches.
 		cu := p.specCur
-		if s.blockExec {
-			if ck.scratch.batch == nil {
-				ck.scratch.batch = make([]emu.Effect, effectBatchSize)
+		var eff emu.Effect
+		for n := uint64(0); n < p.seg.Insts; n++ {
+			if !cu.next(&eff) {
+				break
 			}
-			batch := ck.scratch.batch
-			for rem := p.seg.Insts; rem > 0; {
-				n := 0
-				for uint64(n) < rem && n < len(batch) && cu.next(&batch[n]) {
-					n++
-				}
-				if n == 0 {
-					break
-				}
-				ck.Core.ConsumeBatch(batch[:n])
-				rem -= uint64(n)
-			}
-		} else {
-			var eff emu.Effect
-			for n := uint64(0); n < p.seg.Insts; n++ {
-				if !cu.next(&eff) {
-					break
-				}
-				ck.Core.Consume(&eff)
-			}
+			ck.Core.Consume(&eff)
 		}
 		p.res = CheckResult{OK: true, Insts: p.seg.Insts}
-	} else if s.blockExec {
-		p.res = ck.scratch.CheckSegmentBlocks(p.l.proc.w.Prog, p.seg, s.cfg.HashMode, func(effs []emu.Effect) {
-			ck.Core.ConsumeBatch(effs)
-		})
 	} else {
 		p.res = ck.scratch.CheckSegment(p.l.proc.w.Prog, p.seg, s.cfg.HashMode, nil, func(e *emu.Effect) {
 			ck.Core.Consume(e)
@@ -230,10 +192,10 @@ func (p *pendingCheck) run(s *System) {
 	ck.Core.Hier.L1D.LogReset()
 }
 
-// dispatchPipelined schedules seg's verification on ck under the
-// buffered protocol. All shared-state inputs are snapshotted here; the
-// job runs either inline (CheckWorkers <= 1) or on a pooled goroutine,
-// and in both cases its effects stay buffered until joinCheck.
+// dispatchPipelined runs seg's verification on ck under the
+// deferred-join protocol. All shared-state inputs are snapshotted here;
+// the check runs at once, and its effects stay buffered until
+// joinCheck.
 func (s *System) dispatchPipelined(l *lane, ck *Checker, seg *Segment) {
 	// NoC traffic: the log lines plus start/end register checkpoints.
 	xferBytes := float64(seg.LogBytes) + 2*float64(l.rcu.CheckpointTransferBytes())
@@ -260,6 +222,9 @@ func (s *System) dispatchPipelined(l *lane, ck *Checker, seg *Segment) {
 	if sp := l.spec; sp != nil && sp.mode == claimReplay {
 		p.specReplay = true
 		p.specCur = sp.segCur
+	} else if sp != nil {
+		// A recording lane sealed this segment just before dispatch.
+		p.recInto = sp.segs[len(sp.segs)-1]
 	}
 	s.snapshotBeyond(ck.Pos, &p.bb)
 	ck.bb = &p.bb
@@ -274,10 +239,9 @@ func (s *System) dispatchPipelined(l *lane, ck *Checker, seg *Segment) {
 	// the checker is still reading.
 	l.takeArena()
 
-	// Queue-depth sample: in-flight checks on this pool, the new one
+	// Queue-depth sample: unjoined checks on this pool, the new one
 	// included. The pending set at a dispatch point is protocol-defined
-	// (joins happen only at pool queries), so the sample stream is
-	// identical at every CheckWorkers setting.
+	// (joins happen only at pool queries).
 	depth := uint64(0)
 	for _, c := range l.alloc.Checkers() {
 		if c.pending != nil {
@@ -286,81 +250,16 @@ func (s *System) dispatchPipelined(l *lane, ck *Checker, seg *Segment) {
 	}
 	s.metrics.CheckQueueDepth.Observe(depth)
 
-	if s.checkSem != nil {
-		p.done = make(chan struct{})
-		go func() {
-			s.checkSem <- struct{}{}
-			p.run(s)
-			<-s.checkSem
-			close(p.done)
-		}()
-	} else {
-		p.run(s)
-	}
+	p.run(s)
 }
 
-// dispatchSpec is dispatchPipelined for a recording lane's stitched
-// segment (spec.go): identical snapshotting, scheduling and
-// accounting, except that the segment's entries live in the recording's
-// private backing rather than the lane's arena (no arena handoff), and
-// the pending check records its verdict into the recorded segment so
-// publication can require a clean stream.
-func (s *System) dispatchSpec(l *lane, ck *Checker, seg *Segment, rs *recSeg) {
-	xferBytes := float64(seg.LogBytes) + 2*float64(l.rcu.CheckpointTransferBytes())
-	if s.cfg.LSLTrafficOnNoC {
-		s.flows.add(l.pos, ck.Pos, xferBytes)
-	}
-	lineLatNS := s.mesh.LatencyNS(l.pos, ck.Pos, LineBytes)
-
-	var startNS float64
-	if s.cfg.EagerWake {
-		startNS = math.Max(seg.StartNS+lineLatNS, ck.FreeAtNS)
-	} else {
-		startNS = math.Max(seg.EndNS+lineLatNS, ck.FreeAtNS)
-	}
-
-	p := &pendingCheck{
-		l: l, ck: ck, seg: seg, execAt: l.executed,
-		startNS: startNS, lineLatNS: lineLatNS,
-		recInto: rs,
-	}
-	s.snapshotBeyond(ck.Pos, &p.bb)
-	ck.bb = &p.bb
-	ck.pending = p
-	ck.floorNS = math.Max(startNS, seg.EndNS+lineLatNS)
-
-	depth := uint64(0)
-	for _, c := range l.alloc.Checkers() {
-		if c.pending != nil {
-			depth++
-		}
-	}
-	s.metrics.CheckQueueDepth.Observe(depth)
-
-	if s.checkSem != nil {
-		p.done = make(chan struct{})
-		go func() {
-			s.checkSem <- struct{}{}
-			p.run(s)
-			<-s.checkSem
-			close(p.done)
-		}()
-	} else {
-		p.run(s)
-	}
-}
-
-// joinCheck completes ck's pending verification (waiting for the worker
-// if necessary) and merges its buffered effects into the shared
-// simulator state. Callers reach it only through protocol-defined join
-// points, so the merge sequence is identical at every worker count.
+// joinCheck merges ck's pending verification into the shared simulator
+// state. Callers reach it only through protocol-defined join points,
+// so the merge sequence is a function of the run loop alone.
 func (s *System) joinCheck(ck *Checker) {
 	p := ck.pending
 	if p == nil {
 		return
-	}
-	if p.done != nil {
-		<-p.done
 	}
 	ck.pending = nil
 	ck.bb = nil
@@ -386,8 +285,8 @@ func (s *System) joinCheck(ck *Checker) {
 	}
 
 	// Joins are reached only through protocol-defined points (pool
-	// queries, warm snapshot, collection), so the latency observation
-	// order — and with it the metrics shard — is worker-count-invariant.
+	// queries, warm snapshot, collection), which fixes the latency
+	// observation order and with it the metrics shard.
 	s.metrics.CheckLatencyNS.Observe(uint64(p.durNS + 0.5))
 	s.traceCheck(p.l, ck, p.seg, p.startNS, p.durNS)
 
@@ -413,17 +312,14 @@ func (s *System) joinCheck(ck *Checker) {
 		p.recInto.verdict = p.res
 	}
 
-	// Return the log arenas to the lane for reuse. Stitched segments
-	// (spec.go) back their entries privately and hand over no arena.
-	if p.entries != nil {
-		l.spareEntries = append(l.spareEntries, p.entries)
-		l.spareOps = append(l.spareOps, p.ops)
-	}
+	// Return the log arenas to the lane for reuse.
+	l.spareEntries = append(l.spareEntries, p.entries)
+	l.spareOps = append(l.spareOps, p.ops)
 }
 
 // forceAll joins every pending check on l's pool in segment order, so
-// bulk joins (warm snapshot, collection, error unwind) merge in the
-// same sequence the checks were dispatched.
+// bulk joins (warm snapshot, collection) merge in the same sequence the
+// checks were dispatched.
 func (s *System) forceAll(l *lane) {
 	if l.alloc == nil {
 		return

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"paraverser/internal/cpu"
@@ -11,20 +12,48 @@ import (
 
 // renderResult flattens every externally observable statistic of a run
 // into one string — including the metrics shard, whose queue-depth and
-// latency histograms are the values most tempted to vary with
-// scheduling — so equality means the experiment tables AND the metrics
-// export built from the Result are byte-identical.
+// latency histograms depend on the deferred-join order — so equality
+// means the experiment tables AND the metrics export built from the
+// Result are byte-identical.
 func renderResult(res *Result) string {
 	return fmt.Sprintf("lanes=%v\ncheckers=%v\nlink=%v llc=%v\nmetrics=%s",
 		res.Lanes, res.CheckersByLane, res.MaxLinkUtilisation, res.AvgLLCExtraNS,
 		res.Metrics.String())
 }
 
-// TestPipelinedWorkerCountInvariance is the determinism contract of the
-// pipelined verification engine: the same configuration must produce a
-// byte-identical Result whether checks run inline (CheckWorkers 1) or
-// overlapped on 2 or 8 workers, across operating modes, wake policies
-// and hash mode, with warmup snapshots and multiple lanes in play.
+// runConcurrently starts n copies of run at once and returns their
+// flattened results in launch order, or the first error.
+func runConcurrently(n int, run func() (*Result, error)) ([]string, error) {
+	out := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := run()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			out[i] = renderResult(res)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// TestPipelinedWorkerCountInvariance pins that a run's result does not
+// depend on how many runs share the process. Each Run is one goroutine
+// with its deferred checker joins; the experiment engine's -j workers
+// run several at once over shared programs, so 2 and 8 concurrent runs
+// of every configuration must each render byte-identically to a lone
+// run — strategies that never pipeline included.
 func TestPipelinedWorkerCountInvariance(t *testing.T) {
 	prog := mixedProgram(12000)
 	cases := []struct {
@@ -39,34 +68,34 @@ func TestPipelinedWorkerCountInvariance(t *testing.T) {
 			c.SamplePeriod = 3
 			c.Checkers = []CheckerSpec{{CPU: cpu.A35(), FreqGHz: 0.5, Count: 1}}
 		}},
-		// The non-pipelined strategies must render identically at every
-		// worker count too — by staying sequential, not by overlapping.
 		{"chunk-replay", func(c *Config) { c.Strategy = StrategyChunkReplay }},
 		{"relaxed", func(c *Config) { c.Strategy = StrategyRelaxed }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var base string
-			for _, workers := range []int{1, 2, 8} {
+			run := func() (*Result, error) {
 				cfg := DefaultConfig(a510Checkers(2, 2.0))
 				tc.mut(&cfg)
-				cfg.CheckWorkers = workers
-				ws := []Workload{
+				return Run(cfg, []Workload{
 					{Name: "m0", Prog: prog, MaxInsts: 8000, WarmupInsts: 2000},
 					{Name: "m1", Prog: prog},
-				}
-				res, err := Run(cfg, ws)
+				})
+			}
+			res, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := renderResult(res)
+			for _, workers := range []int{2, 8} {
+				got, err := runConcurrently(workers, run)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := renderResult(res)
-				if workers == 1 {
-					base = got
-					continue
-				}
-				if got != base {
-					t.Errorf("CheckWorkers=%d diverged from CheckWorkers=1:\n--- 1 ---\n%s\n--- %d ---\n%s",
-						workers, base, workers, got)
+				for i, g := range got {
+					if g != base {
+						t.Errorf("run %d of %d concurrent diverged from a lone run:\n--- lone ---\n%s\n--- concurrent ---\n%s",
+							i, workers, base, g)
+					}
 				}
 			}
 		})
@@ -102,12 +131,12 @@ func TestRunBitDeterminism(t *testing.T) {
 }
 
 // TestPipelinedCleanAndCovered re-asserts the core invariants of a
-// full-coverage run under overlapped checking: no spurious detections,
-// full coverage, and per-checker instruction accounting that still sums
-// to the lane's checked instructions after all the deferred joins.
+// full-coverage run under the deferred-join protocol: no spurious
+// detections, full coverage, and per-checker instruction accounting
+// that still sums to the lane's checked instructions after all the
+// deferred joins.
 func TestPipelinedCleanAndCovered(t *testing.T) {
 	cfg := DefaultConfig(a510Checkers(4, 2.0))
-	cfg.CheckWorkers = 4
 	res, err := Run(cfg, []Workload{{Name: "mixed", Prog: mixedProgram(20000)}})
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +182,10 @@ func benchSegment(b *testing.B) (*isa.Program, *Segment) {
 	return prog, seg
 }
 
-// BenchmarkCheckSegment measures one checker-side segment replay (the
-// unit of work the pipelined engine overlaps with the main lane) on the
-// block-compiled path the engine runs by default: a 2000-instruction
-// mixed segment verified end to end with batched effect delivery.
+// BenchmarkCheckSegment measures one checker-side segment replay on
+// the block-compiled library path (CheckSegmentBlocks): a
+// 2000-instruction mixed segment verified end to end with batched
+// effect delivery.
 func BenchmarkCheckSegment(b *testing.B) {
 	prog, seg := benchSegment(b)
 	// The scratch lives outside the loop exactly as each Checker holds
@@ -173,9 +202,9 @@ func BenchmarkCheckSegment(b *testing.B) {
 	b.ReportMetric(float64(seg.Insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
-// BenchmarkCheckSegmentStep is the per-instruction baseline
-// (BlockExecOff, and the fallback under fault interceptors): the same
-// segment verified through CheckSegment one effect at a time.
+// BenchmarkCheckSegmentStep is the per-instruction path the simulator
+// runs: the same segment verified through CheckSegment one effect at a
+// time.
 func BenchmarkCheckSegmentStep(b *testing.B) {
 	prog, seg := benchSegment(b)
 	var cs CheckScratch

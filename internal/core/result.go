@@ -124,9 +124,9 @@ type Result struct {
 
 	// Metrics is the run's observability shard: raw event counters over
 	// the whole run including warmup (unlike the Lane/Checker statistics
-	// above, which subtract the warmup window). Byte-identical at every
-	// CheckWorkers setting; shards from different runs merge
-	// commutatively (obs.RunMetrics.Merge).
+	// above, which subtract the warmup window). Deterministic per
+	// configuration; shards from different runs merge commutatively
+	// (obs.RunMetrics.Merge).
 	Metrics *obs.RunMetrics
 }
 

@@ -110,28 +110,3 @@ func (c *Counter) Tick(pushedLines int) BoundaryReason {
 
 // Insts returns instructions counted since the last reset.
 func (c *Counter) Insts() uint64 { return c.insts }
-
-// BatchBound returns the largest number of instructions that can retire
-// before a count-based boundary (LSL capacity or timeout) could fire,
-// so a block-compiled batch of that size ends at most exactly on the
-// boundary, never past it. The capacity bound assumes one pushed line
-// per instruction at most, which the LSL format guarantees: the widest
-// entry (a two-op gather/scatter) encodes to 32 bytes, under the
-// 64-byte line, so a single Append can complete at most one line.
-func (c *Counter) BatchBound() int {
-	bound := 1 << 30
-	if c.CapacityLines > 0 {
-		if r := c.CapacityLines - 1 - c.lines; r < bound {
-			bound = r
-		}
-	}
-	if c.TimeoutInsts > 0 {
-		if r := int(c.TimeoutInsts - c.insts); r < bound {
-			bound = r
-		}
-	}
-	if bound < 1 {
-		bound = 1
-	}
-	return bound
-}

@@ -1,65 +1,49 @@
 package core
 
-// Parallel-in-time single-run simulation: speculative segment emulation
-// with a deterministic timing stitch.
+// Functional-stream memoisation: record a lane's instruction stream from
+// the live segment loop, replay it in later runs by cursor.
 //
 // A lane's simulated outcome factors into two halves with a one-way
-// dependency. The FUNCTIONAL half — the instruction stream, the logged
-// load/store entries, the segment boundaries — is a pure function of
-// (program, seed, LSL capacity, timeout, interrupt interval,
-// instruction budget, hash mode): the emulator never reads a clock, the
-// counter ticks on instructions and log lines, and full-coverage
-// checkpoints stall rather than skip, so timing feeds nothing back into
-// functional execution. The TIMING half (main-core cycles, NoC flows,
-// LLC occupancy, checker schedules) consumes the functional stream but
-// cannot perturb it.
+// dependency. The FUNCTIONAL half — the instruction stream and the
+// loaded/stored values — is a pure function of (program, hart, seed,
+// instruction budget): the emulator never reads a clock and never
+// observes a checkpoint boundary. The TIMING half (main-core cycles,
+// NoC flows, LLC occupancy, checker schedules) and everything that
+// shapes boundaries (LSL capacity, the checkpoint timeout, the
+// interrupt interval, hash mode, whether checking is on at all) consume
+// the functional stream but cannot perturb it.
 //
-// That factorisation lets one run be sharded in time: a producer
-// emulates future segments speculatively — ahead of, and concurrently
-// with, the timing stitch — recording for each segment the committed
-// PCs, per-instruction outcome flags and log entries. The stitcher then
-// replays those segments through the unmodified timing protocol in
-// segment order, reconstructing each emu.Effect from the recording.
-// Reconstruction is exact for every field the timing models read
-// (cpu.Core.Consume and the checker-side consume use only PC, Inst,
-// Class, Dec, NextPC, Taken, Halted, Mem[:NMem] addresses/kinds,
-// WroteInt, WroteFP), so stitched timing is bit-identical to live
-// timing at any shard depth — Config.TimeShards changes wall-clock
-// only, never tables.
+// A recording lane runs the ordinary runSegment loop and taps every
+// committed effect: its PC, its outcome flags and its log entry
+// (record). The tap is sealed into an immutable recSeg at each segment
+// close (seal). Reconstruction from a recording is exact for every
+// field the timing models read (cpu.Core.Consume and the checker-side
+// consume use only PC, Inst, Class, Dec, NextPC, Taken, Halted,
+// Mem[:NMem] addresses/kinds, WroteInt, WroteFP), so a recording made
+// under one configuration serves any other with the same stream key.
 //
-// The factorisation is finer still: the instruction SEQUENCE is a pure
-// function of (program, hart, seed, instruction budget) alone. LSL
-// capacity, the checkpoint timeout, the interrupt interval, hash mode
-// and whether checking is on at all shape only WHERE the sequence is
-// cut into segments — the emulator never observes a boundary. A
-// recorded stream is therefore keyed by the sequence inputs only, and a
-// replay run RE-CUTS its own segment boundaries: the live runSegment
+// A replay run RE-CUTS its own segment boundaries: the same runSegment
 // loop runs unmodified (checker acquisition, LSPU packing, counters,
-// warmup/interrupt windows, hash digests), but draws its effects from a
+// warmup/interrupt windows, hash digests) but draws its effects from a
 // cursor over the recorded stream instead of the emulator. One stream
 // recorded under full coverage serves opportunistic sweeps, hash-mode
-// toggles, capacity sweeps and unchecked baselines — and vice versa.
+// toggles, capacity sweeps and unchecked baselines — and vice versa. A
+// per-main-geometry MicroTrace memoises the main core's private-cache
+// hit levels and branch verdicts on top (cpu/microtrace.go), valid
+// across re-cut boundaries because consume order is commit order,
+// which is stream order.
 //
-// The recording, kept in a SpecCache, thereby memoises the functional
-// stream ACROSS runs: sweeps that vary any timing- or boundary-side
-// parameter (frequency, NoC, worker counts, checker counts and
-// capacities, operating mode, hash mode) replay a stream recorded once
-// instead of re-emulating, and a per-main-geometry MicroTrace memoises
-// the main core's private-cache hit levels and branch verdicts on top
-// (cpu/microtrace.go) — valid across re-cut boundaries because consume
-// order is commit order, which is stream order.
-//
-// Safety: every speculative segment carries its entry architectural
-// state, and the stitcher commits a segment only if that state extends
-// the committed predecessor bit-for-bit. On divergence the engine
-// falls back — in-run to sequential emulation from a retained machine
-// snapshot when one matches the committed boundary, otherwise by
-// rerunning the whole system without speculation (ErrSpecDiverged) —
-// so a speculation bug can cost time, never correctness.
+// Safety: a checked recording is published only once every segment's
+// checker verdict has landed clean (pendingCheck.recInto), which is what
+// lets replay runs synthesise clean verdicts. Every recorded segment
+// carries its entry architectural state, and a replay enters a segment
+// only if that state extends the committed predecessor bit-for-bit; on
+// divergence the stream is evicted and the whole system reruns without
+// the cache (ErrSpecDiverged), so a stream defect can cost time, never
+// correctness.
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"paraverser/internal/cpu"
@@ -68,11 +52,10 @@ import (
 	"paraverser/internal/obs"
 )
 
-// ErrSpecDiverged reports that a speculative segment's entry state did
-// not extend the committed predecessor and no in-run fallback was
-// possible. Run (the package-level wrapper) catches it and reruns the
-// system sequentially without speculation.
-var ErrSpecDiverged = errors.New("core: speculative segment diverged from committed state")
+// ErrSpecDiverged reports that a replayed segment's entry state did not
+// extend the committed predecessor. Run (the package-level wrapper)
+// catches it and reruns the system without the SpecCache.
+var ErrSpecDiverged = errors.New("core: replayed segment diverged from committed state")
 
 // DefaultSpecCacheBytes bounds a SpecCache's recorded-stream memory.
 const DefaultSpecCacheBytes = 1 << 30
@@ -102,31 +85,16 @@ type streamKey struct {
 }
 
 // recSeg is one recorded segment: everything needed to reconstruct the
-// committed effect sequence and the Segment handed to the checker.
+// committed effect sequence.
 type recSeg struct {
 	start emu.ArchState
 	end   emu.ArchState
 	// pcs[i] is instruction i's PC; flags[i] its outcome bits. entries
-	// holds the logged entries in commit order, with exact-size private
+	// holds the log entries in commit order, with exact-size private
 	// backing (never aliased by later segments).
 	pcs     []uint32
 	flags   []uint8
 	entries []Entry
-	insts   uint64
-	// Checked-lane log accounting under the RECORDING run's own
-	// configuration (zero for unchecked recorders). Only the recording
-	// run's stitch reads these; replay runs re-cut boundaries and
-	// recompute packing, byte counts and digests live.
-	logBytes int
-	logLines int
-	digest   [32]byte
-	reason   BoundaryReason
-	// endSinceIRQ is the interrupt counter after this segment, so an
-	// in-run fallback resumes the legacy path consistently.
-	endSinceIRQ uint64
-	// snap, when non-nil, is the machine state at segment entry — the
-	// in-run fallback point (taken every TimeShards segments).
-	snap *emu.MachineSnapshot
 	// verdict is the checker outcome recorded at join time. Publication
 	// requires every verdict clean, which is what lets replay runs
 	// synthesise clean verdicts instead of re-verifying.
@@ -166,14 +134,8 @@ type SpecCache struct {
 
 	stats obs.SpecStats
 
-	// clock, when non-nil, supplies wall-clock ns for the StitchNS
-	// statistic. Injected (experiments wires time.Now) because core is a
-	// deterministic package; timing of the simulator itself never feeds
-	// back into simulated outcomes.
-	clock func() int64
-
-	// testCorrupt, when non-nil, mutates segments as the stitcher
-	// receives them — the forced-divergence hook for fallback tests.
+	// testCorrupt, when non-nil, mutates segments as a replay lane
+	// enters them — the forced-divergence hook for fallback tests.
 	testCorrupt func(laneIdx, seq int, rs *recSeg)
 }
 
@@ -193,10 +155,7 @@ func (c *SpecCache) SetLimit(bytes int) {
 	c.mu.Unlock()
 }
 
-// SetClock injects a wall-clock source for the StitchNS statistic.
-func (c *SpecCache) SetClock(fn func() int64) { c.clock = fn }
-
-// Stats returns a snapshot of the cache's speculation counters.
+// Stats returns a snapshot of the cache's counters.
 func (c *SpecCache) Stats() obs.SpecSnapshot { return c.stats.Snapshot() }
 
 // Claim outcomes.
@@ -208,7 +167,7 @@ const (
 
 // claimStream resolves how a lane uses the cache: replay a complete
 // stream, record a fresh one (exclusive, only if the caller's
-// configuration can produce boundaries deterministically — canRecord),
+// configuration is record-eligible — canRecord),
 // or run live unrecorded. The protocol never blocks: a stream being
 // recorded elsewhere, or a cache over budget, degrades to live
 // execution.
@@ -319,127 +278,45 @@ func (c *SpecCache) publishMicro(st *recStream, geom string, tr *cpu.MicroTrace)
 	c.stats.MicroRecorded.Add(1)
 }
 
-// specProducer emulates a lane's functional stream ahead of the timing
-// stitch, mirroring the legacy runSegment functional loop exactly: the
-// same step sequence, the same logging, the same boundary decisions in
-// the same order. It owns the lane's machine (exclusively, when run on
-// a producer goroutine) and private copies of the functional units
-// whose state shapes boundaries (LSPU line packing, instruction
-// counter, interrupt/warmup counters).
-type specProducer struct {
-	laneIdx int
-	mach    *emu.Machine
-	hart    int
+// laneSpec is one lane's SpecCache state for the current run.
+type laneSpec struct {
+	mode    int // claimRecord or claimReplay
+	key     streamKey
+	stream  *recStream
+	checked bool
+	// sawEnd marks that the whole stream ran through the lane, so
+	// collection may publish what was recorded over it.
+	sawEnd bool
 
-	budget   int64
-	warmup   int64
-	timeout  uint64
-	irqEvery uint64
-	hashMode bool
-	checked  bool
-	capacity int
-	shards   int
+	// Replay state: cur walks the recorded stream in place of the
+	// emulator (specNext); segCur is cur's value at the current
+	// segment's start, snapshotted so a pending check can re-walk
+	// exactly the effects the segment consumed. prevEnd is the
+	// committed architectural boundary: every recorded segment entered
+	// must start exactly here.
+	cur       specCursor
+	segCur    specCursor
+	prevEnd   emu.ArchState
+	delivered int
 
-	counter  Counter
-	lspu     *LSPU
-	rcu      *RCU
-	executed int64
-	sinceIRQ uint64
-	warmed   bool
-	segIdx   int
-
-	// Reused scratch; sealed into exact-size private copies per segment.
+	// Record state: the tap's scratch (pcs, flags, ents, ops), reused
+	// across segments and sealed into segs at every segment close.
 	pcs   []uint32
 	flags []uint8
 	ents  []Entry
 	ops   []MemRec
+	segs  []*recSeg
 
-	// batch is the block-compiled engine's effect buffer (nil when the
-	// engine is off): produce fills it through Machine.RunBlocks and
-	// replays the recording protocol per effect, with the fuel sized so
-	// no boundary can fire before the batch's final effect.
-	batch []emu.Effect
+	// Micro-trace recording in flight (nil when not claimed).
+	microRec  *cpu.MicroTrace
+	microGeom string
 }
 
-// produce emulates one segment, or returns (nil, nil) at stream end.
-func (p *specProducer) produce() (*recSeg, error) {
-	hart := p.mach.Harts[p.hart]
-	if hart.Halted || (p.budget > 0 && p.executed >= p.budget) {
-		return nil, nil
-	}
-	rs := &recSeg{start: hart.State}
-	if p.shards > 1 && p.segIdx%p.shards == 0 {
-		rs.snap = p.mach.Snapshot()
-	}
-	p.segIdx++
-	p.counter.TimeoutInsts = p.timeout
-	p.counter.Reset(p.capacity)
-	p.pcs = p.pcs[:0]
-	p.flags = p.flags[:0]
-	p.ents = p.ents[:0]
-	p.ops = p.ops[:0]
-
-	var eff emu.Effect
-	reason := BoundaryInvalid
-	for reason == BoundaryInvalid {
-		if p.batch != nil {
-			n, err := p.mach.RunBlocks(p.hart, p.batch, p.batchFuel())
-			if err != nil {
-				return nil, fmt.Errorf("core: lane %d: %w", p.laneIdx, err)
-			}
-			for i := 0; i < n; i++ {
-				reason = p.account(&p.batch[i], rs)
-				if reason != BoundaryInvalid && i != n-1 {
-					return nil, fmt.Errorf("core: lane %d: internal: %v boundary fired at instruction %d of a %d-effect speculative batch", p.laneIdx, reason, i+1, n)
-				}
-			}
-			continue
-		}
-		if err := p.mach.StepHart(p.hart, &eff); err != nil {
-			return nil, fmt.Errorf("core: lane %d: %w", p.laneIdx, err)
-		}
-		reason = p.account(&eff, rs)
-	}
-	if p.checked {
-		rs.logLines += p.lspu.Flush()
-		if p.hashMode {
-			rs.digest = p.rcu.Digest()
-		}
-	}
-	if !p.warmed && p.warmup > 0 && p.executed >= p.warmup {
-		p.warmed = true
-	}
-
-	rs.end = hart.State
-	rs.insts = uint64(len(p.pcs))
-	rs.reason = reason
-	rs.endSinceIRQ = p.sinceIRQ
-
-	// Seal exact-size private copies: the scratch arenas are reused for
-	// the next segment, and a recorded segment must never alias them.
-	rs.pcs = append([]uint32(nil), p.pcs...)
-	rs.flags = append([]uint8(nil), p.flags...)
-	ops := append([]MemRec(nil), p.ops...)
-	ents := make([]Entry, len(p.ents))
-	o := 0
-	for i := range p.ents {
-		n := len(p.ents[i].Ops)
-		ents[i] = Entry{Kind: p.ents[i].Kind, Ops: ops[o : o+n : o+n]}
-		o += n
-	}
-	rs.entries = ents
-	return rs, nil
-}
-
-// account applies the recording protocol for one committed effect —
-// counters, flag encoding, entry capture, LSL accounting, boundary
-// decision — exactly as the historical produce loop body did.
-//
-//paralint:hotpath
-func (p *specProducer) account(eff *emu.Effect, rs *recSeg) BoundaryReason {
-	p.executed++
-	p.sinceIRQ++
-
+// record is the recording lane's per-effect tap on the live loop: the
+// effect's PC, its outcome flags and, when it has one, its log entry.
+// Entries are captured on unchecked segments too: they carry the
+// memory operations replay reconstructs effects from.
+func (sp *laneSpec) record(eff *emu.Effect) {
 	fl := uint8(0)
 	if eff.Taken {
 		fl |= specTaken
@@ -453,129 +330,41 @@ func (p *specProducer) account(eff *emu.Effect, rs *recSeg) BoundaryReason {
 	if eff.Halted {
 		fl |= specHalted
 	}
-	pushed := 0
-	// Entries are recorded even on unchecked lanes: they carry the
-	// memory operations the effect reconstruction needs.
-	if entry, ok := EntryFromEffectArena(eff, &p.ops); ok {
+	if entry, ok := EntryFromEffectArena(eff, &sp.ops); ok {
 		fl |= specHasEntry
-		//paralint:allow(arena append: scratch is reused across segments)
-		p.ents = append(p.ents, entry)
-		if p.checked {
-			pushed = p.lspu.Append(entry)
-			rs.logLines += pushed
-			rs.logBytes += entry.SizeBytes(p.hashMode)
-			if p.hashMode {
-				for i := 0; i < eff.NMem; i++ {
-					m := eff.Mem[i]
-					p.rcu.AbsorbVerification(MemRec{
-						Addr: m.Addr, Size: m.Size,
-						Data: m.Data, Load: m.Kind == emu.MemLoad,
-					})
-				}
-			}
-		}
+		sp.ents = append(sp.ents, entry)
 	}
-	//paralint:allow(arena append: scratch is reused across segments)
-	p.pcs = append(p.pcs, uint32(eff.PC))
-	//paralint:allow(arena append: scratch is reused across segments)
-	p.flags = append(p.flags, fl)
-
-	switch {
-	case eff.Halted:
-		return BoundaryHalt
-	case p.budget > 0 && p.executed >= p.budget:
-		return BoundaryHalt
-	case !p.warmed && p.warmup > 0 && p.executed >= p.warmup:
-		return BoundaryInterrupt
-	case p.irqEvery > 0 && p.sinceIRQ >= p.irqEvery:
-		p.sinceIRQ = 0
-		return BoundaryInterrupt
-	default:
-		return p.counter.Tick(pushed)
-	}
+	sp.pcs = append(sp.pcs, uint32(eff.PC))
+	sp.flags = append(sp.flags, fl)
 }
 
-// batchFuel bounds one speculative batch so no recording boundary can
-// fire before the batch's final effect (the producer-side analogue of
-// System.batchFuel).
-func (p *specProducer) batchFuel() int {
-	fuel := len(p.batch)
-	if p.budget > 0 {
-		if r := p.budget - p.executed; int64(fuel) > r {
-			fuel = int(r)
-		}
+// seal closes the tap's current segment, spanning start to end, into
+// an immutable recSeg with exact-size private copies of the scratch,
+// which the next segment reuses.
+func (sp *laneSpec) seal(start, end emu.ArchState) {
+	ops := append([]MemRec(nil), sp.ops...)
+	ents := make([]Entry, len(sp.ents))
+	o := 0
+	for i := range sp.ents {
+		n := len(sp.ents[i].Ops)
+		ents[i] = Entry{Kind: sp.ents[i].Kind, Ops: ops[o : o+n : o+n]}
+		o += n
 	}
-	if !p.warmed && p.warmup > 0 && p.executed < p.warmup {
-		if r := p.warmup - p.executed; int64(fuel) > r {
-			fuel = int(r)
-		}
-	}
-	if p.irqEvery > 0 {
-		if r := p.irqEvery - p.sinceIRQ; uint64(fuel) > r {
-			fuel = int(r)
-		}
-	}
-	if b := p.counter.BatchBound(); fuel > b {
-		fuel = b
-	}
-	if fuel < 1 {
-		fuel = 1
-	}
-	return fuel
+	sp.segs = append(sp.segs, &recSeg{
+		start:   start,
+		end:     end,
+		pcs:     append([]uint32(nil), sp.pcs...),
+		flags:   append([]uint8(nil), sp.flags...),
+		entries: ents,
+	})
+	sp.pcs = sp.pcs[:0]
+	sp.flags = sp.flags[:0]
+	sp.ents = sp.ents[:0]
+	sp.ops = sp.ops[:0]
 }
 
-// laneSpec is one lane's speculation state for the current run.
-type laneSpec struct {
-	mode    int // claimRecord or claimReplay
-	key     streamKey
-	stream  *recStream
-	dec     []isa.DecInst
-	checked bool
-
-	// prevEnd is the committed architectural boundary; every incoming
-	// recorded segment must start exactly here.
-	prevEnd   emu.ArchState
-	delivered int
-	sawEnd    bool
-
-	// Replay state: cur walks the recorded stream in place of the
-	// emulator (specNext); segCur is cur's value at the current
-	// segment's start, snapshotted so a pending check can re-walk
-	// exactly the effects the segment consumed.
-	cur    specCursor
-	segCur specCursor
-
-	// Record state. With TimeShards > 1 the producer runs on its own
-	// goroutine, ahead of the stitcher through ch; otherwise produce()
-	// is called inline. segs accumulates committed segments for
-	// publication.
-	prod     *specProducer
-	ch       chan *recSeg
-	errc     chan error
-	stop     chan struct{}
-	prodDone chan struct{}
-	segs     []*recSeg
-
-	// Micro-trace recording in flight (nil when replaying or not
-	// claimed).
-	microRec  *cpu.MicroTrace
-	microGeom string
-}
-
-// stopProducer halts the producer goroutine (if any) and waits for it
-// to exit, after which the machine is quiescent and owned by the
-// caller. Idempotent; a no-op for inline producers.
-func (sp *laneSpec) stopProducer() {
-	if sp.stop == nil {
-		return
-	}
-	close(sp.stop)
-	<-sp.prodDone
-	sp.stop = nil
-}
-
-// laneSpecEligible reports what lane l may do with the speculation
-// cache: replay a recorded stream, and additionally record a fresh one.
+// laneSpecEligible reports what lane l may do with the SpecCache:
+// replay a recorded stream, and additionally record a fresh one.
 //
 // Replay requires only that the lane's instruction sequence is a pure
 // function of the streamKey inputs. Interceptors mutate execution;
@@ -583,15 +372,16 @@ func (sp *laneSpec) stopProducer() {
 // synchronously; divergent mode keeps a private memory image in
 // lockstep with verification; multi-hart processes interleave through
 // shared memory under timing control; and a checked replay synthesises
-// clean verdicts, which needs the pipelined dispatch path. Boundary
+// clean verdicts, which needs the deferred-join dispatch path. Boundary
 // shape does NOT matter for replay — the live runSegment loop re-cuts
 // boundaries over the cursor, so opportunistic mode, sampling and
 // non-uniform pool capacities all replay fine.
 //
-// Recording is stricter: the producer must predict segment boundaries
-// ahead of timing, so checked recorders need full coverage (no
-// timing-gated logging) and a uniform pool capacity (BoundaryLSLFull
-// must not depend on which checker was allocated).
+// Recording is stricter: checked recorders need full coverage and a
+// uniform pool capacity. Soundness needs only the first — every segment
+// of the stream must be verified before publication. The second keeps
+// the set of recording runs, and with it the cache counters, as it was
+// when recordings had to predict segment boundaries ahead of timing.
 func (s *System) laneSpecEligible(l *lane) (replay, record bool) {
 	if s.cfg.MainInterceptor != nil || s.cfg.CheckerInterceptor != nil ||
 		s.cfg.Recovery.Enabled {
@@ -632,8 +422,8 @@ func (s *System) streamKeyFor(l *lane) streamKey {
 }
 
 // initSpec decides, per lane, whether this run replays a recorded
-// stream, records a fresh one (speculatively, ahead of the stitch), or
-// runs the legacy sequential path (l.spec stays nil).
+// stream, records a fresh one from the live loop, or runs the loop
+// plain (l.spec stays nil).
 func (s *System) initSpec() {
 	c := s.cfg.Spec
 	for _, l := range s.lanes {
@@ -646,48 +436,10 @@ func (s *System) initSpec() {
 		if mode == claimNone {
 			continue
 		}
-		sp := &laneSpec{
-			mode: mode, key: key, stream: st,
-			dec:     l.proc.w.Prog.Decoded(),
-			checked: s.checking(),
-			prevEnd: l.proc.mach.Harts[l.hart].State,
-		}
+		sp := &laneSpec{mode: mode, key: key, stream: st, checked: s.checking()}
 		if mode == claimReplay {
-			sp.cur = specCursor{dec: sp.dec, segs: st.segs}
-		} else {
-			hashMode := s.cfg.HashMode && sp.checked
-			capacity := 0
-			if sp.checked {
-				capacity = s.lslCapacityLines(l, l.alloc.Checkers()[0])
-			}
-			sp.prod = &specProducer{
-				laneIdx:  l.idx,
-				mach:     l.proc.mach,
-				hart:     l.hart,
-				budget:   l.proc.w.MaxInsts,
-				warmup:   l.proc.w.WarmupInsts,
-				timeout:  s.cfg.TimeoutInsts,
-				irqEvery: s.cfg.InterruptIntervalInsts,
-				hashMode: hashMode,
-				checked:  sp.checked,
-				capacity: capacity,
-				shards:   s.cfg.TimeShards,
-				lspu:     NewLSPU(hashMode),
-				rcu:      NewRCU(hashMode),
-			}
-			if sp.prod.budget > 0 {
-				sp.prod.budget += sp.prod.warmup
-			}
-			if s.blockExec {
-				sp.prod.batch = make([]emu.Effect, effectBatchSize)
-			}
-			if s.cfg.TimeShards > 1 {
-				sp.ch = make(chan *recSeg, s.cfg.TimeShards)
-				sp.errc = make(chan error, 1)
-				sp.stop = make(chan struct{})
-				sp.prodDone = make(chan struct{})
-				go specProduceLoop(sp, &c.stats)
-			}
+			sp.cur = specCursor{dec: l.proc.w.Prog.Decoded(), segs: st.segs}
+			sp.prevEnd = l.proc.mach.Harts[l.hart].State
 		}
 		// Micro-trace claim for this lane's main-core geometry. Traces
 		// exist only on complete streams, so a record-mode lane can only
@@ -706,218 +458,16 @@ func (s *System) initSpec() {
 	}
 }
 
-// specProduceLoop runs the producer ahead of the stitcher: the
-// functional shard of the run executes in the simulated future relative
-// to the timing shard, up to TimeShards segments deep.
-func specProduceLoop(sp *laneSpec, stats *obs.SpecStats) {
-	defer close(sp.prodDone)
-	for {
-		rs, err := sp.prod.produce()
-		if err != nil {
-			select {
-			case sp.errc <- err:
-			case <-sp.stop:
-			}
-			return
-		}
-		if rs == nil {
-			close(sp.ch)
-			return
-		}
-		stats.SegmentsSpeculated.Add(1)
-		select {
-		case sp.ch <- rs:
-		case <-sp.stop:
-			return
-		}
-	}
-}
-
-// nextSpecSeg fetches the recording lane's next produced segment: from
-// the producer pipeline, or an inline produce call. Returns (nil, nil)
-// at stream end.
-func (s *System) nextSpecSeg(l *lane) (*recSeg, error) {
-	sp := l.spec
-	var rs *recSeg
-	var err error
-	if sp.ch != nil {
-		select {
-		case err = <-sp.errc:
-		case got, ok := <-sp.ch:
-			if ok {
-				rs = got
-			}
-		}
-	} else {
-		rs, err = sp.prod.produce()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if rs == nil {
-		sp.sawEnd = true
-		return nil, nil
-	}
-	if hook := s.cfg.Spec.testCorrupt; hook != nil {
-		hook(l.idx, sp.delivered, rs)
-	}
-	sp.delivered++
-	return rs, nil
-}
-
-// runSegmentSpec stitches one speculatively produced segment through
-// the timing protocol on a RECORDING lane (replay lanes run the plain
-// runSegment loop over a cursor instead). Every timing-side action
-// mirrors runSegment exactly — same acquisition and stall arithmetic,
-// same consume sequence (the reconstructed effects are bit-equivalent
-// for every field the timing models read), same checkpoint close,
-// dispatch and accounting — so the produced tables are byte-identical
-// to the sequential path.
-func (s *System) runSegmentSpec(l *lane) error {
-	sp := l.spec
-	c := s.cfg.Spec
-	var t0 int64
-	if c.clock != nil {
-		t0 = c.clock()
-	}
-	rs, err := s.nextSpecSeg(l)
-	if err != nil {
-		return err
-	}
-	if rs == nil {
-		s.finishLane(l)
-		return nil
-	}
-	if rs.start != sp.prevEnd {
-		return s.specDiverged(l, rs)
-	}
-	sp.prevEnd = rs.end
-	sp.segs = append(sp.segs, rs)
-	if rs.reason == BoundaryHalt {
-		// Streams always terminate in a halt-reason segment (budget
-		// exhaustion raises BoundaryHalt inside the segment loop), and
-		// the lane finishes at this very call — mark the stream fully
-		// stitched now so collection publishes the recording.
-		sp.sawEnd = true
-	}
-
-	now := l.main.TimeNS()
-	l.segChecked = sp.checked
-	l.segDegraded = false
-	var ck *Checker
-	if sp.checked {
-		// Full-coverage acquisition; eligibility excludes recovery, so
-		// the pool can never empty and EarliestFree is always non-nil.
-		ck = l.alloc.AcquireFree(now)
-		if ck == nil {
-			e := l.alloc.EarliestFree()
-			stall := e.FreeAtNS - now
-			l.main.StallNS(stall)
-			l.res.StallNS += stall
-			s.metrics.StallNS += uint64(stall + 0.5)
-			ck = e
-		}
-	}
-
-	l.segStart = rs.start
-	l.segInsts = rs.insts
-	l.segBytes = rs.logBytes
-	l.segLines = rs.logLines
-	startNS := l.main.TimeNS()
-
-	var eff emu.Effect
-	it := effIter{dec: sp.dec, rs: rs}
-	for it.next(&eff) {
-		l.main.Consume(&eff)
-	}
-	l.executed += int64(rs.insts)
-	l.sinceIRQ = rs.endSinceIRQ
-
-	// --- close the checkpoint (mirrors runSegment) ---
-	if s.cfg.CheckpointDrains {
-		l.main.Stall(s.cfg.CheckpointStallCycles)
-	} else {
-		l.main.FetchBubble(s.cfg.CheckpointStallCycles)
-	}
-	l.res.CheckpointNS += s.cfg.CheckpointStallCycles / (l.main.FreqGHz)
-	endNS := l.main.TimeNS()
-	l.res.Segments++
-	s.metrics.Segments++
-	s.metrics.Insts += l.segInsts
-	s.metrics.CheckpointNS += uint64(s.cfg.CheckpointStallCycles/l.main.FreqGHz + 0.5)
-	s.traceSegment(l, startNS, endNS)
-
-	if !sp.checked {
-		l.res.UncheckedInsts += l.segInsts
-		s.metrics.SegmentsUnchecked++
-		s.flows.refresh(s.mesh, endNS)
-		s.maybeSnapshotWarm(l)
-		if rs.reason == BoundaryHalt {
-			s.finishLane(l)
-		}
-		if c.clock != nil {
-			c.stats.StitchNS.Add(uint64(c.clock() - t0))
-		}
-		return nil
-	}
-
-	seg := &Segment{
-		Seq:      l.segSeq,
-		Hart:     l.hart,
-		Start:    rs.start,
-		End:      rs.end,
-		Entries:  rs.entries,
-		Insts:    rs.insts,
-		LogBytes: rs.logBytes,
-		LogLines: rs.logLines,
-		Digest:   rs.digest,
-		Reason:   rs.reason,
-		StartNS:  startNS,
-		EndNS:    endNS,
-	}
-	l.segSeq++
-	l.res.CheckedInsts += seg.Insts
-	l.res.LogBytes += uint64(seg.LogBytes)
-	l.res.LogLines += uint64(seg.LogLines)
-	s.metrics.SegmentsChecked++
-	s.metrics.InstsChecked += seg.Insts
-
-	s.dispatchSpec(l, ck, seg, rs)
-	s.flows.refresh(s.mesh, endNS)
-	s.maybeSnapshotWarm(l)
-	if rs.reason == BoundaryHalt {
-		s.finishLane(l)
-	}
-	if c.clock != nil {
-		c.stats.StitchNS.Add(uint64(c.clock() - t0))
-	}
-	return nil
-}
-
-// specDiverged handles a failed continuity check. Record lanes whose
-// machine snapshot matches the committed boundary fall back in-run:
-// the producer stops, the machine rewinds to the boundary, and the lane
-// continues on the legacy sequential path (its main core consumed live
-// throughout, so caches and predictor are already coherent). Otherwise
-// the run aborts with ErrSpecDiverged and the Run wrapper reruns the
-// whole system without speculation.
-func (s *System) specDiverged(l *lane, rs *recSeg) error {
-	sp := l.spec
+// specDiverged handles a failed continuity check on a replay lane: the
+// broken stream is evicted so later runs re-record instead of
+// re-aborting, and the run aborts with ErrSpecDiverged, which the Run
+// wrapper turns into a rerun without the cache.
+func (s *System) specDiverged(l *lane) error {
 	c := s.cfg.Spec
 	c.stats.SpecAborts.Add(1)
-	sp.stopProducer()
+	c.evictStream(l.spec.key)
 	s.releaseLaneSpec(l)
 	l.spec = nil
-	if sp.mode == claimRecord && rs != nil && rs.snap != nil &&
-		rs.snap.HartState(l.hart) == sp.prevEnd {
-		l.proc.mach.Restore(rs.snap)
-		return nil
-	}
-	if sp.mode == claimReplay {
-		// A cached stream that fails continuity is broken: stop serving
-		// it so later runs re-record instead of re-aborting.
-		c.evictStream(sp.key)
-	}
 	return ErrSpecDiverged
 }
 
@@ -936,14 +486,12 @@ func (s *System) releaseLaneSpec(l *lane) {
 	l.main.SetMicroRecord(nil)
 }
 
-// abortSpec unwinds speculation on a failed run: stop producers, drop
-// claims.
+// abortSpec drops every cache claim of a failed run.
 func (s *System) abortSpec() {
 	for _, l := range s.lanes {
 		if l.spec == nil {
 			continue
 		}
-		l.spec.stopProducer()
 		s.releaseLaneSpec(l)
 		l.spec = nil
 	}
@@ -963,7 +511,6 @@ func (s *System) publishSpec() {
 		if sp == nil || !sp.sawEnd {
 			continue
 		}
-		sp.stopProducer()
 		if sp.mode == claimRecord {
 			clean := true
 			if sp.checked {
@@ -1058,8 +605,8 @@ func (it *effIter) next(eff *emu.Effect) bool {
 // boundaries are cut by the live runSegment loop, independent of where
 // the recording run happened to cut its checkpoints. A plain value
 // copy snapshots a position: a pending check re-walks its segment's
-// effects from such a snapshot, hook-free, on a worker goroutine
-// (recorded segments are immutable once published).
+// effects from such a snapshot, hook-free (recorded segments are
+// immutable once published).
 type specCursor struct {
 	dec  []isa.DecInst
 	segs []*recSeg
@@ -1090,9 +637,9 @@ func (cu *specCursor) next(eff *emu.Effect) bool {
 // reconstructs the next committed effect from the recorded stream
 // instead of stepping the emulator. Entering a recorded segment fires
 // the continuity check — its entry state must extend the committed
-// predecessor bit-for-bit — and the forced-divergence test hook, so a
-// broken stream degrades exactly like the stitched path: eviction plus
-// ErrSpecDiverged, which the Run wrapper turns into a sequential rerun.
+// predecessor bit-for-bit — and the forced-divergence test hook. A
+// broken stream is evicted and the run ends in ErrSpecDiverged, which
+// the Run wrapper turns into a rerun without the cache.
 func (s *System) specNext(l *lane, eff *emu.Effect) (bool, error) {
 	sp := l.spec
 	cu := &sp.cur
@@ -1106,7 +653,7 @@ func (s *System) specNext(l *lane, eff *emu.Effect) (bool, error) {
 		}
 		sp.delivered++
 		if rs.start != sp.prevEnd {
-			return false, s.specDiverged(l, rs)
+			return false, s.specDiverged(l)
 		}
 		sp.prevEnd = rs.end
 		s.cfg.Spec.stats.SegmentsReplayed.Add(1)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"paraverser/internal/cpu"
 	"paraverser/internal/emu"
 	"paraverser/internal/isa"
 )
@@ -43,86 +44,132 @@ func runSpec(t *testing.T, cfg Config, ws []Workload) string {
 }
 
 // TestSpecRecordReplayInvariance is the determinism contract of the
-// parallel-in-time engine: with a speculation cache attached, both the
-// recording run (speculative producer ahead of the timing stitch) and
-// every subsequent replay run (stream served from the cache) must
-// produce results byte-identical to the sequential engine, across wake
-// policies, hash mode and unchecked operation.
+// SpecCache: with a cache attached, the recording run (a tap on the
+// live loop) and every later replay run (stream served from the cache)
+// must render byte-identically to the run without a cache, across
+// strategies, operating modes, hash mode, interrupts, warmup and a pool
+// small enough to stall. Configurations that cannot record replay a
+// stream seeded by a full-coverage run over the same workloads; those
+// the cache must decline (non-lockstep strategies) must leave it
+// untouched.
 func TestSpecRecordReplayInvariance(t *testing.T) {
 	prog := mixedProgram(12000)
+	type use int
+	const (
+		records  use = iota // the case's own first run records
+		replays             // seeded by a full-coverage recording
+		declines            // the cache is inert
+	)
 	cases := []struct {
 		name string
 		mut  func(*Config)
+		use  use
 	}{
-		{"full-coverage-eager", func(c *Config) {}},
-		{"full-coverage-late-wake", func(c *Config) { c.EagerWake = false }},
-		{"hash-mode", func(c *Config) { c.HashMode = true }},
-		{"no-checking", func(c *Config) { c.Checkers = nil }},
+		{"full-coverage-eager", func(c *Config) {}, records},
+		{"full-coverage-late-wake", func(c *Config) { c.EagerWake = false }, records},
+		{"hash-mode", func(c *Config) { c.HashMode = true }, records},
+		{"no-checking", func(c *Config) { c.Checkers = nil }, records},
+		{"irq-interval", func(c *Config) { c.InterruptIntervalInsts = 700 }, records},
+		{"small-pool-stall", func(c *Config) {
+			c.Checkers = []CheckerSpec{{CPU: cpu.A35(), FreqGHz: 0.5, Count: 1}}
+		}, records},
+		{"opportunistic", func(c *Config) { c.Mode = ModeOpportunistic }, replays},
+		{"opportunistic-sampled", func(c *Config) {
+			c.Mode = ModeOpportunistic
+			c.SamplePeriod = 3
+			c.Checkers = []CheckerSpec{{CPU: cpu.A35(), FreqGHz: 0.5, Count: 1}}
+		}, replays},
+		{"lockstep", func(c *Config) { c.Strategy = StrategyLockstep }, records},
+		{"chunk-replay", func(c *Config) { c.Strategy = StrategyChunkReplay }, declines},
+		{"relaxed", func(c *Config) { c.Strategy = StrategyRelaxed }, declines},
+		{"divergent", func(c *Config) { c.Strategy = StrategyDivergent }, declines},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// Both lanes warm up; m0 also stops at a budget, m1 runs to
+			// its halt.
 			ws := []Workload{
 				{Name: "m0", Prog: prog, MaxInsts: 8000, WarmupInsts: 2000},
-				{Name: "m1", Prog: prog},
+				{Name: "m1", Prog: prog, WarmupInsts: 1500},
 			}
 			cfg := DefaultConfig(a510Checkers(2, 2.0))
 			tc.mut(&cfg)
 			base := runSpec(t, cfg, ws)
 
 			cache := NewSpecCache()
+			if tc.use == replays {
+				seed := DefaultConfig(a510Checkers(2, 2.0))
+				seed.Spec = cache
+				runSpec(t, seed, ws)
+			}
 			cfg.Spec = cache
-			cfg.TimeShards = 4
 			for i := 0; i < 3; i++ {
 				if got := runSpec(t, cfg, ws); got != base {
-					t.Fatalf("spec run %d diverged from sequential baseline:\n--- base ---\n%s\n--- got ---\n%s", i, base, got)
+					t.Fatalf("cached run %d diverged from the run without a cache:\n--- base ---\n%s\n--- got ---\n%s", i, base, got)
 				}
 			}
 			st := cache.Stats()
-			if st.StreamsRecorded == 0 {
-				t.Error("no stream was recorded")
-			}
-			if st.StreamsReplayed == 0 {
-				t.Error("no stream was replayed")
-			}
 			if st.SpecAborts != 0 {
-				t.Errorf("clean runs raised %d speculation aborts", st.SpecAborts)
+				t.Errorf("clean runs raised %d aborts", st.SpecAborts)
+			}
+			switch tc.use {
+			case declines:
+				if st.StreamsRecorded != 0 || st.StreamsReplayed != 0 {
+					t.Errorf("cache not inert: recorded %d, replayed %d streams", st.StreamsRecorded, st.StreamsReplayed)
+				}
+			default:
+				if st.StreamsRecorded == 0 {
+					t.Error("no stream was recorded")
+				}
+				if st.StreamsReplayed == 0 {
+					t.Error("no stream was replayed")
+				}
 			}
 		})
 	}
 }
 
-// TestSpecTimeShardInvariance pins the shard-count contract: TimeShards
-// changes wall-clock behaviour only. Results must be byte-identical to
-// the sequential engine at every shard depth and worker count, both
-// from a fresh cache (record mode) and from a shared one (replay mode).
+// TestSpecTimeShardInvariance pins the SpecCache under concurrent use:
+// the experiment engine hands one cache to all of its -j workers, so
+// several runs may race to record the same stream while others replay
+// it. Whether each of 1, 2 or 8 concurrent runs holds a fresh cache or
+// shares one, every run must render byte-identically to the run
+// without a cache, and the shared cache must end up replaying.
 func TestSpecTimeShardInvariance(t *testing.T) {
 	prog := mixedProgram(12000)
 	ws := []Workload{
 		{Name: "m0", Prog: prog, MaxInsts: 8000, WarmupInsts: 2000},
 		{Name: "m1", Prog: prog},
 	}
-	cfg := DefaultConfig(a510Checkers(2, 2.0))
-	base := runSpec(t, cfg, ws)
+	base := runSpec(t, DefaultConfig(a510Checkers(2, 2.0)), ws)
 
 	shared := NewSpecCache()
-	for _, shards := range []int{1, 2, 8} {
-		for _, workers := range []int{1, 4} {
-			cfg := DefaultConfig(a510Checkers(2, 2.0))
-			cfg.CheckWorkers = workers
-			cfg.TimeShards = shards
-
-			cfg.Spec = NewSpecCache()
-			if got := runSpec(t, cfg, ws); got != base {
-				t.Errorf("fresh cache, TimeShards=%d CheckWorkers=%d diverged from baseline", shards, workers)
+	for _, workers := range []int{1, 2, 8} {
+		for _, share := range []bool{false, true} {
+			got, err := runConcurrently(workers, func() (*Result, error) {
+				cfg := DefaultConfig(a510Checkers(2, 2.0))
+				cfg.Spec = NewSpecCache()
+				if share {
+					cfg.Spec = shared
+				}
+				return Run(cfg, ws)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			cfg.Spec = shared
-			if got := runSpec(t, cfg, ws); got != base {
-				t.Errorf("shared cache, TimeShards=%d CheckWorkers=%d diverged from baseline", shards, workers)
+			for i, g := range got {
+				if g != base {
+					t.Errorf("shared=%v, run %d of %d concurrent diverged from baseline", share, i, workers)
+				}
 			}
 		}
 	}
-	if st := shared.Stats(); st.StreamsReplayed == 0 {
-		t.Error("shared cache never replayed a stream across shard counts")
+	st := shared.Stats()
+	if st.StreamsReplayed == 0 {
+		t.Error("shared cache never replayed a stream across concurrent runs")
+	}
+	if st.SpecAborts != 0 {
+		t.Errorf("clean concurrent runs raised %d aborts", st.SpecAborts)
 	}
 }
 
@@ -139,7 +186,6 @@ func TestSpecCrossFrequencyStreamReuse(t *testing.T) {
 		cfg.MainFreqGHz = freq
 		base := runSpec(t, cfg, ws)
 		cfg.Spec = cache
-		cfg.TimeShards = 4
 		if got := runSpec(t, cfg, ws); got != base {
 			t.Errorf("MainFreqGHz=%v: spec run diverged from its sequential baseline", freq)
 		}
@@ -171,7 +217,6 @@ func TestSpecCrossConfigStreamReuse(t *testing.T) {
 	rec := DefaultConfig(a510Checkers(2, 2.0))
 	recBase := runSpec(t, rec, ws)
 	rec.Spec = cache
-	rec.TimeShards = 4
 	if got := runSpec(t, rec, ws); got != recBase {
 		t.Fatal("recording run diverged from its sequential baseline")
 	}
@@ -191,7 +236,6 @@ func TestSpecCrossConfigStreamReuse(t *testing.T) {
 		v.mut(&cfg)
 		base := runSpec(t, cfg, ws)
 		cfg.Spec = cache
-		cfg.TimeShards = 4
 		if got := runSpec(t, cfg, ws); got != base {
 			t.Errorf("%s: replay from the full-coverage recording diverged from its sequential baseline", v.name)
 		}
@@ -204,12 +248,12 @@ func TestSpecCrossConfigStreamReuse(t *testing.T) {
 		t.Errorf("replayed %d streams, want >= %d (every variant must reuse the one recording)", st.StreamsReplayed, len(variants))
 	}
 	if st.SpecAborts != 0 {
-		t.Errorf("clean cross-config replays raised %d speculation aborts", st.SpecAborts)
+		t.Errorf("clean cross-config replays raised %d aborts", st.SpecAborts)
 	}
 }
 
 // TestSpecReplayDivergenceFallsBack forces a continuity-check failure on
-// a cached stream: the run must abort speculation, rerun sequentially,
+// a cached stream: the run must abort the replay, rerun without the cache,
 // and still produce the baseline result; the broken stream must be
 // evicted so the next run re-records rather than re-aborting.
 func TestSpecReplayDivergenceFallsBack(t *testing.T) {
@@ -223,15 +267,12 @@ func TestSpecReplayDivergenceFallsBack(t *testing.T) {
 
 	cache := NewSpecCache()
 	cfg.Spec = cache
-	cfg.TimeShards = 4
 	if got := runSpec(t, cfg, ws); got != base {
 		t.Fatal("clean record run diverged from baseline")
 	}
 
-	// Corrupt the third replayed segment's entry state. Replay-mode
-	// divergence has no in-run fallback (the main core's caches were fed
-	// from the stream, not live execution), so this must escalate to the
-	// run-level rerun.
+	// Corrupt the third replayed segment's entry state: the replay must
+	// escalate to the run-level rerun.
 	corrupted := 0
 	cache.testCorrupt = func(laneIdx, seq int, rs *recSeg) {
 		if seq == 3 {
@@ -246,7 +287,7 @@ func TestSpecReplayDivergenceFallsBack(t *testing.T) {
 		t.Fatal("corruption hook never fired; the stream has too few segments for this test")
 	}
 	if st := cache.Stats(); st.SpecAborts == 0 {
-		t.Error("no speculation abort was counted")
+		t.Error("no abort was counted")
 	}
 
 	// The broken stream must be gone: a clean run re-records.
@@ -257,46 +298,6 @@ func TestSpecReplayDivergenceFallsBack(t *testing.T) {
 	}
 	if after := cache.Stats().StreamsRecorded; after != before+1 {
 		t.Errorf("evicted stream was not re-recorded (recorded %d -> %d)", before, after)
-	}
-}
-
-// TestSpecRecordDivergenceInRunFallback forces a continuity failure on a
-// segment that carries a machine snapshot during a recording run: the
-// lane must rewind to the committed boundary and continue on the legacy
-// sequential path inside the same run, still matching the baseline; the
-// abandoned recording must not be published.
-func TestSpecRecordDivergenceInRunFallback(t *testing.T) {
-	prog := mixedProgram(12000)
-	ws := []Workload{{Name: "m0", Prog: prog, MaxInsts: 8000, WarmupInsts: 2000}}
-	cfg := DefaultConfig(a510Checkers(2, 2.0))
-	cfg.InterruptIntervalInsts = 500
-	base := runSpec(t, cfg, ws)
-
-	cache := NewSpecCache()
-	cfg.Spec = cache
-	cfg.TimeShards = 4
-	corrupted := 0
-	cache.testCorrupt = func(laneIdx, seq int, rs *recSeg) {
-		// TimeShards=4 snapshots every fourth produced segment; corrupt
-		// the entry state of one such segment while its snapshot still
-		// matches the committed boundary.
-		if seq == 8 && rs.snap != nil && corrupted == 0 {
-			corrupted++
-			rs.start.X[6] ^= 2
-		}
-	}
-	if got := runSpec(t, cfg, ws); got != base {
-		t.Fatal("in-run fallback diverged from the sequential result")
-	}
-	if corrupted == 0 {
-		t.Fatal("corruption hook never hit a snapshot-bearing segment; adjust the test's seq")
-	}
-	st := cache.Stats()
-	if st.SpecAborts == 0 {
-		t.Error("no speculation abort was counted")
-	}
-	if st.StreamsRecorded != 0 {
-		t.Error("an aborted recording was published")
 	}
 }
 

@@ -11,19 +11,26 @@ import (
 // Strategy selects the segment-verification strategy: the granularity at
 // which checker work is scheduled, the comparison domain, and how checker
 // acquisition couples to main-core commit. The zero value (StrategyAuto)
-// defers to CheckMode, so existing configurations keep their meaning.
+// runs lockstep, so existing configurations keep their meaning.
 type Strategy uint8
 
 const (
-	// StrategyAuto resolves from CheckMode: lockstep check mode runs the
-	// lockstep strategy, divergent check mode the divergent strategy.
+	// StrategyAuto resolves to lockstep unless a process-wide override
+	// (experiments.SetStrategy) applies to the configuration.
 	StrategyAuto Strategy = iota
 	// StrategyLockstep is the paper's scheme: per-segment dispatch,
 	// identical replay, full LSC/RCU comparison. The only strategy
 	// eligible for the pipelined dispatch engine (pipeline.go).
 	StrategyLockstep
-	// StrategyDivergent dispatches per segment but replays the
-	// decorrelated variant (DESIGN.md §11). Requires CheckDivergent.
+	// StrategyDivergent is DME-style multi-version checking: per-segment
+	// dispatch, but the checker replays a structurally decorrelated
+	// program variant (shifted data segment, permuted register
+	// allocation) and compares both lanes in a canonical,
+	// layout-independent domain (DESIGN.md §11), so layout-correlated
+	// faults (stuck address bits, DRAM row faults) no longer corrupt main
+	// and checker identically. Requires full-coverage mode, no Hash Mode,
+	// and single-hart workloads (the checker keeps a private memory
+	// image, which cross-hart communication would invalidate).
 	StrategyDivergent
 	// StrategyChunkReplay is RepTFD-style coarse-grained checking:
 	// segments are logged unconditionally and accumulated into a large
@@ -75,14 +82,10 @@ func ParseStrategy(name string) (Strategy, error) {
 }
 
 // ResolvedStrategy returns the strategy a run will actually use:
-// Config.Strategy, or — when that is StrategyAuto — the strategy implied
-// by CheckMode.
+// Config.Strategy, or lockstep when that is StrategyAuto.
 func (c *Config) ResolvedStrategy() Strategy {
 	if c.Strategy != StrategyAuto {
 		return c.Strategy
-	}
-	if c.CheckMode == CheckDivergent {
-		return StrategyDivergent
 	}
 	return StrategyLockstep
 }
@@ -277,8 +280,8 @@ func (c *chunkState) reset() {
 // is decoupled from checker acquisition. Every segment is logged (no
 // per-segment stall); the checker is acquired once per chunk at flush
 // time, and the whole chunk verifies as a single replay window through
-// the standard dispatch path — so block-compiled replay, NoC/EagerWake
-// timing, recovery and tracing all apply unchanged at the coarser grain.
+// the standard dispatch path — so NoC/EagerWake timing, recovery and
+// tracing all apply unchanged at the coarser grain.
 type chunkReplayStrategy struct{}
 
 func (chunkReplayStrategy) Name() string     { return "chunk-replay" }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestStrategyParseResolve pins the CLI name set and the Auto
-// resolution: the zero value defers to CheckMode so pre-strategy
+// resolution: the zero value runs lockstep so pre-strategy
 // configurations keep their meaning.
 func TestStrategyParseResolve(t *testing.T) {
 	for _, st := range []Strategy{StrategyAuto, StrategyLockstep, StrategyDivergent, StrategyChunkReplay, StrategyRelaxed} {
@@ -22,11 +22,7 @@ func TestStrategyParseResolve(t *testing.T) {
 
 	cfg := DefaultConfig(a510Checkers(2, 2.0))
 	if got := cfg.ResolvedStrategy(); got != StrategyLockstep {
-		t.Errorf("auto under lockstep check mode resolved to %v, want lockstep", got)
-	}
-	cfg.CheckMode = CheckDivergent
-	if got := cfg.ResolvedStrategy(); got != StrategyDivergent {
-		t.Errorf("auto under divergent check mode resolved to %v, want divergent", got)
+		t.Errorf("auto resolved to %v, want lockstep", got)
 	}
 	cfg.Strategy = StrategyChunkReplay
 	if got := cfg.ResolvedStrategy(); got != StrategyChunkReplay {
@@ -35,7 +31,7 @@ func TestStrategyParseResolve(t *testing.T) {
 }
 
 // TestStrategyValidation is the table-driven incompatibility sweep: each
-// strategy declares the check mode and operating mode it defines
+// strategy declares the operating mode and hash setting it defines
 // behaviour for, and Validate must reject the rest with a one-line
 // error instead of running a meaningless simulation.
 func TestStrategyValidation(t *testing.T) {
@@ -48,21 +44,19 @@ func TestStrategyValidation(t *testing.T) {
 		{"lockstep-ok", func(c *Config) { c.Strategy = StrategyLockstep }, ""},
 		{"chunk-replay-ok", func(c *Config) { c.Strategy = StrategyChunkReplay }, ""},
 		{"relaxed-ok", func(c *Config) { c.Strategy = StrategyRelaxed }, ""},
-		{"divergent-ok", func(c *Config) {
+		{"divergent-ok", func(c *Config) { c.Strategy = StrategyDivergent }, ""},
+		{"divergent-opportunistic", func(c *Config) {
 			c.Strategy = StrategyDivergent
-			c.CheckMode = CheckDivergent
-		}, ""},
-		{"lockstep-on-divergent-mode", func(c *Config) {
-			c.Strategy = StrategyLockstep
-			c.CheckMode = CheckDivergent
-		}, "lockstep strategy requires lockstep check mode"},
-		{"divergent-on-lockstep-mode", func(c *Config) {
+			c.Mode = ModeOpportunistic
+		}, "divergent strategy requires full-coverage mode"},
+		{"divergent-hash-mode", func(c *Config) {
 			c.Strategy = StrategyDivergent
-		}, "divergent strategy requires CheckMode CheckDivergent"},
-		{"chunk-replay-on-divergent-mode", func(c *Config) {
-			c.Strategy = StrategyChunkReplay
-			c.CheckMode = CheckDivergent
-		}, "chunk-replay strategy requires lockstep check mode"},
+			c.HashMode = true
+		}, "divergent strategy is incompatible with Hash Mode"},
+		{"divergent-unaligned-shift", func(c *Config) {
+			c.Strategy = StrategyDivergent
+			c.Divergent.DataShiftBytes = 100
+		}, "not 4KiB-aligned"},
 		{"chunk-replay-opportunistic", func(c *Config) {
 			c.Strategy = StrategyChunkReplay
 			c.Mode = ModeOpportunistic
@@ -131,8 +125,7 @@ func runStrategy(t *testing.T, st Strategy, mut func(*Config)) string {
 // TestLockstepStrategyExplicitMatchesAuto is the refactor's
 // byte-identity anchor: an explicit StrategyLockstep run must render
 // exactly as the Auto default, which in turn is pinned against the
-// pre-strategy engine by the worker-count and block-exec invariance
-// suites.
+// pre-strategy engine by the SpecCache invariance suite.
 func TestLockstepStrategyExplicitMatchesAuto(t *testing.T) {
 	auto := runStrategy(t, StrategyAuto, nil)
 	lock := runStrategy(t, StrategyLockstep, nil)
@@ -142,25 +135,18 @@ func TestLockstepStrategyExplicitMatchesAuto(t *testing.T) {
 }
 
 // TestStrategyWorkerAndShardInvariance extends the determinism gates to
-// the new strategies: chunk-replay and relaxed-start runs must be
-// byte-identical at every CheckWorkers setting and with the
-// parallel-in-time machinery attached (neither strategy is
-// pipeline-eligible, so both knobs must be inert — this pins that no
-// speculative or overlapped path engages by accident).
+// the new strategies: chunk-replay and relaxed-start runs must render
+// byte-identically with a SpecCache attached. Neither strategy is
+// cache-eligible, so the cache must be inert — this pins that no
+// recording or replay path engages by accident.
 func TestStrategyWorkerAndShardInvariance(t *testing.T) {
 	for _, st := range []Strategy{StrategyChunkReplay, StrategyRelaxed} {
 		t.Run(st.String(), func(t *testing.T) {
 			base := runStrategy(t, st, nil)
-			for _, workers := range []int{2, 8} {
-				if got := runStrategy(t, st, func(c *Config) { c.CheckWorkers = workers }); got != base {
-					t.Errorf("CheckWorkers=%d diverged from sequential:\n--- base ---\n%s\n--- got ---\n%s", workers, base, got)
-				}
-			}
 			cache := NewSpecCache()
 			for i := 0; i < 2; i++ {
-				got := runStrategy(t, st, func(c *Config) { c.Spec = cache; c.TimeShards = 4 })
-				if got != base {
-					t.Errorf("spec run %d diverged from sequential baseline", i)
+				if got := runStrategy(t, st, func(c *Config) { c.Spec = cache }); got != base {
+					t.Errorf("cached run %d diverged from the run without a cache", i)
 				}
 			}
 		})

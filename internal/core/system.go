@@ -41,32 +41,18 @@ type System struct {
 	// reproduce the historical engine byte for byte.
 	strat CheckStrategy
 
-	// pipelined selects the buffered-merge dispatch protocol
-	// (pipeline.go): checks may run overlapped with the main lane and
-	// their shared-state effects merge at protocol-defined join points.
-	// checkSem, when non-nil, bounds concurrent check jobs at
-	// cfg.CheckWorkers; nil runs jobs inline (but still defers merges).
+	// pipelined selects the deferred-join dispatch protocol
+	// (pipeline.go): a check runs at its dispatch point against
+	// dispatch-time snapshots of the shared state, and its shared-state
+	// effects merge at protocol-defined join points.
 	pipelined bool
-	checkSem  chan struct{}
-
-	// blockExec selects the block-compiled execution engine: main-lane
-	// functional emulation and checker replay run whole basic blocks at
-	// a time (emu.Hart.RunBlocks), delivering effects to the timing
-	// models in batches (cpu.Core.ConsumeBatch). Bit-identical to the
-	// per-instruction engine by construction — the batch fuel is sized
-	// so no segment boundary can fire before a batch's final effect —
-	// and enforced by the differential tests in blockexec_test.go.
-	// Paths the block engine does not model (divergent lanes, a finite
-	// opportunistic resume window, fault interceptors) fall back to the
-	// per-instruction loops.
-	blockExec bool
 
 	llcExtraSum float64
 	llcExtraN   uint64
 
 	// metrics is this run's observability shard (obs package). All writes
-	// happen on the orchestrator goroutine at protocol-defined points, so
-	// the shard is byte-identical at every CheckWorkers setting.
+	// happen at protocol-defined points of the run loop, so the shard is
+	// a deterministic function of the configuration.
 	metrics *obs.RunMetrics
 	// tracePID identifies this run in the (possibly shared) trace ring.
 	tracePID uint64
@@ -76,7 +62,7 @@ type process struct {
 	w    Workload
 	mach *emu.Machine
 	// plan is the process's decorrelated variant and layout map, built
-	// once per program when CheckMode is divergent (nil otherwise).
+	// once per program under the divergent strategy (nil otherwise).
 	plan *DivergentPlan
 }
 
@@ -103,8 +89,8 @@ type lane struct {
 	entries  []Entry
 	ops      []MemRec
 	// spareEntries/spareOps recycle log arenas through pending checks
-	// under the pipelined engine: dispatch hands the live arena to the
-	// check and takes a spare, the join returns it (pipeline.go).
+	// under the deferred-join protocol: dispatch hands the live arena to
+	// the check and takes a spare, the join returns it (pipeline.go).
 	spareEntries [][]Entry
 	spareOps     [][]MemRec
 	segInsts     uint64
@@ -142,15 +128,10 @@ type lane struct {
 	// has dispatched onto a busy pool; bounded by MaxLagSegments.
 	relaxLag int
 
-	// spec is this lane's parallel-in-time speculation state (spec.go);
-	// nil runs the legacy sequential runSegment path.
+	// spec is this lane's SpecCache state (spec.go): a recording tap on
+	// the live loop, or a replay cursor standing in for the emulator;
+	// nil runs the loop plain.
 	spec *laneSpec
-
-	// batch is the block-compiled engine's effect buffer (nil when the
-	// engine is off): runBatch fills it from the machine or the recorded
-	// stream, delivers it to the main core whole, then replays the
-	// logging and boundary protocol per effect.
-	batch []emu.Effect
 }
 
 // warmSnapshot captures counters at the end of the warmup phase.
@@ -245,17 +226,14 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 	s.strat = newStrategy(cfg.ResolvedStrategy())
 	// Recovery consumes check verdicts immediately (re-replay,
 	// quarantine) and interceptors carry per-run mutable state; both
-	// keep the legacy synchronous dispatch. So does every non-lockstep
+	// keep the synchronous dispatch. So does every non-lockstep
 	// strategy (strat.pipelineOK): divergent orders checks against its
 	// private memory image, chunk replay and relaxed start defer
 	// dispatch past segment close.
 	s.pipelined = len(cfg.Checkers) > 0 && !cfg.Recovery.Enabled &&
 		cfg.CheckerInterceptor == nil && cfg.MainInterceptor == nil &&
 		s.strat.pipelineOK()
-	if s.pipelined && cfg.CheckWorkers > 1 {
-		s.checkSem = make(chan struct{}, cfg.CheckWorkers)
-	}
-	s.blockExec = cfg.BlockExec != BlockExecOff
+	divergent := cfg.ResolvedStrategy() == StrategyDivergent
 
 	laneIdx := 0
 	for _, w := range workloads {
@@ -270,7 +248,7 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 			mach.Intc = cfg.MainInterceptor(laneIdx)
 		}
 		p := &process{w: w, mach: mach}
-		if cfg.CheckMode == CheckDivergent && len(cfg.Checkers) > 0 {
+		if divergent && len(cfg.Checkers) > 0 {
 			if len(mach.Harts) > 1 {
 				// The divergent checker's private memory image tracks one
 				// verified store stream; cross-hart stores would bypass it.
@@ -328,13 +306,10 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 	if p.plan != nil {
 		l.div = newDivState(p.plan)
 	}
-	if s.blockExec {
-		l.batch = make([]emu.Effect, effectBatchSize)
-	}
 
 	if len(s.cfg.Checkers) > 0 {
 		ckMode := cpu.ModeChecker
-		if s.cfg.CheckMode == CheckDivergent {
+		if s.cfg.ResolvedStrategy() == StrategyDivergent {
 			ckMode = cpu.ModeCheckerDivergent
 		}
 		var checkers []*Checker
@@ -350,9 +325,9 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 					ID: id, Core: ckCore, FreqGHz: spec.FreqGHz, Pos: pos,
 				}
 				if s.pipelined {
-					// Checks may run off the orchestrator goroutine:
-					// beyond-L2 accesses go through the pending check's
-					// buffer instead of the shared LLC/DRAM/mesh.
+					// Deferred joins: beyond-L2 accesses go through the
+					// pending check's buffer instead of the shared
+					// LLC/DRAM/mesh.
 					ckCore.Hier.Beyond = ck.beyondBuffered
 				} else {
 					ckCore.Hier.Beyond = s.beyondFor(pos)
@@ -367,7 +342,7 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 		}
 		if s.pipelined {
 			// Pool queries become the lazy join points of the
-			// pipelined engine.
+			// deferred-join protocol.
 			l.alloc.SetJoin(func(c *Checker) { s.joinCheck(c) })
 		}
 		if s.cfg.ResolvedStrategy() == StrategyChunkReplay {
@@ -417,21 +392,8 @@ func (s *System) Run() (*Result, error) {
 		if l == nil {
 			break
 		}
-		var err error
-		if l.spec != nil && l.spec.mode == claimRecord {
-			err = s.runSegmentSpec(l)
-		} else {
-			// Replay lanes (l.spec in claimReplay mode) run this same
-			// loop: it re-cuts segment boundaries live, drawing effects
-			// from the recorded stream via specNext.
-			err = s.runSegment(l)
-		}
-		if err != nil {
-			// Drain in-flight checks so no worker goroutine outlives
-			// the failed run, and unwind speculation claims.
-			for _, l := range s.lanes {
-				s.forceAll(l)
-			}
+		if err := s.runSegment(l); err != nil {
+			// Unwind the cache claims; the failed system is discarded.
 			if s.cfg.Spec != nil {
 				s.abortSpec()
 			}
@@ -470,9 +432,12 @@ func (s *System) runSegment(l *lane) error {
 		return nil
 	}
 	// A replay lane (spec.go) never steps the machine: its effects come
-	// from the recorded stream, and stream exhaustion is its halt.
+	// from the recorded stream, and stream exhaustion is its halt. A
+	// recording lane steps live and taps every effect into its stream.
 	sp := l.spec
-	if sp != nil && sp.cur.done() {
+	replay := sp != nil && sp.mode == claimReplay
+	rec := sp != nil && sp.mode == claimRecord
+	if replay && sp.cur.done() {
 		s.finishLane(l)
 		return nil
 	}
@@ -503,7 +468,7 @@ func (s *System) runSegment(l *lane) error {
 		capacityLines = s.lslCapacityLines(l, ck)
 	}
 	l.beginSegment(hart, capacityLines, s.cfg.TimeoutInsts)
-	if sp != nil {
+	if replay {
 		// Snapshot the cursor at segment entry so the pending check can
 		// re-walk exactly this segment's effects (pipeline.go).
 		sp.segCur = sp.cur
@@ -511,24 +476,10 @@ func (s *System) runSegment(l *lane) error {
 	startNS := l.main.TimeNS()
 
 	// --- functional execution with logging and main-core timing ---
-	// The block-compiled engine handles every boundary the batch fuel
-	// can bound by instruction count; a finite resumeAtNS is the one
-	// wall-clock-dependent boundary, so opportunistic wait windows (and
-	// divergent lanes, whose check mode the block path does not model)
-	// keep the per-instruction loop. Fault interceptors fall back inside
-	// Machine.RunBlocks itself.
 	var eff emu.Effect
 	reason := BoundaryInvalid
-	batched := s.blockExec && l.div == nil && math.IsInf(resumeAtNS, 1)
 	for reason == BoundaryInvalid {
-		if batched {
-			var err error
-			if reason, err = s.runBatch(l, sp, budget, resumeAtNS); err != nil {
-				return err
-			}
-			continue
-		}
-		if sp != nil {
+		if replay {
 			ok, err := s.specNext(l, &eff)
 			if err != nil {
 				return err
@@ -537,18 +488,25 @@ func (s *System) runSegment(l *lane) error {
 				// The stream ran dry without a halt or budget boundary:
 				// it cannot be a recording of this workload. Degrade
 				// like any divergence (evict, rerun sequentially).
-				return s.specDiverged(l, nil)
+				return s.specDiverged(l)
 			}
 		} else if err := l.proc.mach.StepHart(l.hart, &eff); err != nil {
 			return fmt.Errorf("core: lane %d: %w", l.idx, err)
+		} else if rec {
+			sp.record(&eff)
 		}
 		l.main.Consume(&eff)
 		reason = s.accountEffect(l, &eff, budget, resumeAtNS)
 	}
 
+	if rec {
+		// Seal the segment's recording before dispatch: the pending
+		// check lands its verdict in it at the join.
+		sp.seal(l.segStart, hart.State)
+	}
 	if sp != nil && reason == BoundaryHalt {
-		// The whole recorded stream has been stitched; collection may
-		// publish a micro trace recorded over this replay.
+		// The whole stream has run through this lane; collection may
+		// publish the recording and any micro trace recorded over it.
 		sp.sawEnd = true
 	}
 
@@ -688,18 +646,10 @@ func (l *lane) beginSegment(hart *emu.Hart, capacityLines int, timeoutInsts uint
 	l.counter.Reset(capacityLines)
 }
 
-// effectBatchSize is the block-compiled engine's batch capacity, in
-// effects. Large enough to amortise the per-batch protocol (fuel
-// computation, ConsumeBatch call) over the ~10 ns/instruction executor,
-// small enough that a lane's buffer stays cache-resident.
-const effectBatchSize = 256
-
 // accountEffect applies the per-instruction segment protocol for one
 // committed effect on lane l — execution counters, LSL logging, hash
-// absorption, and the boundary decision — exactly as the historical
-// runSegment loop body did. Timing consumption happens before this
-// call, either per effect or batched; the two orders are equivalent
-// because the timing model and the logging units share no state.
+// absorption, and the boundary decision. Timing consumption happens
+// just before this call.
 //
 //paralint:hotpath
 func (s *System) accountEffect(l *lane, eff *emu.Effect, budget int64, resumeAtNS float64) BoundaryReason {
@@ -744,102 +694,12 @@ func (s *System) accountEffect(l *lane, eff *emu.Effect, budget int64, resumeAtN
 	}
 }
 
-// batchFuel bounds one block-compiled batch on lane l so that no
-// count-based segment boundary can fire before the batch's final
-// effect: the remaining budget, warmup window, interrupt interval and
-// counter headroom each cap the fuel. That bound is what makes the
-// consume-then-log reordering of runBatch sound — every effect the
-// timing model consumes is committed to this segment.
-func (s *System) batchFuel(l *lane, budget int64) int {
-	fuel := len(l.batch)
-	if budget > 0 {
-		if r := budget - l.executed; int64(fuel) > r {
-			fuel = int(r)
-		}
-	}
-	if w := l.proc.w.WarmupInsts; !l.warmed && w > 0 && l.executed < w {
-		if r := w - l.executed; int64(fuel) > r {
-			fuel = int(r)
-		}
-	}
-	if ie := s.cfg.InterruptIntervalInsts; ie > 0 {
-		if r := ie - l.sinceIRQ; uint64(fuel) > r {
-			fuel = int(r)
-		}
-	}
-	if b := l.counter.BatchBound(); fuel > b {
-		fuel = b
-	}
-	if fuel < 1 {
-		fuel = 1
-	}
-	return fuel
-}
-
-// runBatch executes one block-compiled batch on lane l: fill l.batch
-// from the machine (or, on a replay lane, from the recorded stream),
-// deliver the whole batch to the main-core timing model, then replay
-// the logging and boundary protocol per effect. Returns the boundary
-// reason, which by the batchFuel sizing can only fire at the batch's
-// final effect — a mid-batch boundary is an internal invariant
-// violation and aborts the run loudly rather than silently skewing
-// timing.
-//
-//paralint:hotpath
-func (s *System) runBatch(l *lane, sp *laneSpec, budget int64, resumeAtNS float64) (BoundaryReason, error) {
-	fuel := s.batchFuel(l, budget)
-	var n int
-	if sp != nil {
-		// Replay lane: reconstruct effects from the recorded stream. The
-		// cursor advances per instruction (reconstruction is cheap); only
-		// the timing delivery below is batched.
-		for n < fuel {
-			ok, err := s.specNext(l, &l.batch[n])
-			if err != nil {
-				return BoundaryInvalid, err
-			}
-			if !ok {
-				if n == 0 {
-					// Dry stream with no halt or budget boundary: not a
-					// recording of this workload (see the sequential path).
-					return BoundaryInvalid, s.specDiverged(l, nil)
-				}
-				// Account the filled prefix; the next batch re-detects
-				// the dry stream from a clean boundary state.
-				break
-			}
-			n++
-			if l.batch[n-1].Halted {
-				break
-			}
-		}
-	} else {
-		var err error
-		n, err = l.proc.mach.RunBlocks(l.hart, l.batch, fuel)
-		if err != nil {
-			return BoundaryInvalid, fmt.Errorf("core: lane %d: %w", l.idx, err)
-		}
-	}
-
-	l.main.ConsumeBatch(l.batch[:n])
-	for i := 0; i < n; i++ {
-		reason := s.accountEffect(l, &l.batch[i], budget, resumeAtNS)
-		if reason != BoundaryInvalid {
-			if i != n-1 {
-				return BoundaryInvalid, fmt.Errorf("core: lane %d: internal: %v boundary fired at instruction %d of a %d-effect batch", l.idx, reason, i+1, n)
-			}
-			return reason, nil
-		}
-	}
-	return BoundaryInvalid, nil
-}
-
 // dispatch schedules seg on checker ck: models the NoC transfer, runs the
 // checker's functional verification feeding its timing model, and records
-// the outcome. Under the pipelined engine the verification is handed to
-// dispatchPipelined, which may overlap it with further main-lane
-// progress; recovery and fault-injection runs keep this synchronous
-// path.
+// the outcome. Under the deferred-join protocol the verification is
+// handed to dispatchPipelined, which merges its shared-state effects
+// later; recovery, fault-injection and non-lockstep runs keep this
+// synchronous path.
 func (s *System) dispatch(l *lane, ck *Checker, seg *Segment) {
 	if s.pipelined {
 		s.dispatchPipelined(l, ck, seg)
@@ -890,13 +750,6 @@ func (s *System) dispatch(l *lane, ck *Checker, seg *Segment) {
 				s.metrics.DivergentDataMismatches++
 			}
 		}
-	} else if s.blockExec && intc == nil {
-		// Fault-free lockstep replay takes the block-compiled engine;
-		// injector runs keep the per-instruction loop (interceptor hooks
-		// fire between instructions, not blocks).
-		res = ck.scratch.CheckSegmentBlocks(l.proc.w.Prog, seg, s.cfg.HashMode, func(effs []emu.Effect) {
-			ck.Core.ConsumeBatch(effs)
-		})
 	} else {
 		res = CheckSegment(l.proc.w.Prog, seg, s.cfg.HashMode, intc, func(e *emu.Effect) {
 			ck.Core.Consume(e)
@@ -1076,11 +929,10 @@ func (s *System) traceCheck(l *lane, ck *Checker, seg *Segment, startNS, durNS f
 		})
 }
 
-// Run builds and runs a system in one call. When speculation is
-// enabled and a divergence escapes the in-run fallback, the whole
-// system is rebuilt and rerun sequentially without speculation — the
-// continuity check turns any speculation defect into wall-clock cost,
-// never a result difference.
+// Run builds and runs a system in one call. When a replayed stream
+// fails the continuity check, the whole system is rebuilt and rerun
+// without the SpecCache — the check turns any stream defect into
+// wall-clock cost, never a result difference.
 func Run(cfg Config, workloads []Workload) (*Result, error) {
 	s, err := NewSystem(cfg, workloads)
 	if err != nil {

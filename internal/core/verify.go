@@ -44,7 +44,7 @@ type CheckScratch struct {
 	// once per check.
 	eff emu.Effect
 	// batch is CheckSegmentBlocks' effect buffer, allocated on first use
-	// so per-instruction-only checkers (fault injection, divergent) pay
+	// so the simulator's own checkers, which replay per instruction, pay
 	// nothing for it.
 	batch []emu.Effect
 }
@@ -71,6 +71,9 @@ func (cs *CheckScratch) CheckSegment(prog *isa.Program, seg *Segment, hashMode b
 	return runCheck(prog, &cs.hart, seg, nil, &cs.env, &cs.lsc, &cs.rcu, intc, sink, &cs.eff)
 }
 
+// effectBatchSize is CheckSegmentBlocks' batch capacity, in effects.
+const effectBatchSize = 256
+
 // CheckSegmentBlocks is CheckSegment over the block-compiled executor:
 // the replay runs whole basic blocks at a time (emu.Hart.RunBlocks)
 // against the log-serving CheckerEnv, delivering effects to batchSink a
@@ -78,10 +81,10 @@ func (cs *CheckScratch) CheckSegment(prog *isa.Program, seg *Segment, hashMode b
 // mapping is identical to runCheck's — a halt short of the checkpointed
 // count or any replay error is a divergence, log exhaustion is its own
 // mismatch kind, and the induction checks (end register file, digest or
-// leftover log) are unchanged — and the differential tests in
-// blockexec_test.go hold the two paths to identical CheckResults.
-// Interceptors are unsupported here; fault-injection runs keep the
-// per-instruction CheckSegment.
+// leftover log) are unchanged. The simulator replays through
+// CheckSegment; this block-compiled form is a library entry point kept
+// for the layer probes of the benchmark, which verify clean segments
+// through both. Interceptors are unsupported here.
 //
 //paralint:hotpath
 func (cs *CheckScratch) CheckSegmentBlocks(prog *isa.Program, seg *Segment, hashMode bool, batchSink func([]emu.Effect)) CheckResult {
@@ -161,8 +164,9 @@ func CheckSegmentDivergent(plan *DivergentPlan, mem *emu.Memory, seg *Segment, i
 	return runCheck(plan.Variant, hart, seg, plan, env, lsc, rcu, intc, sink, &eff)
 }
 
-// runCheck is the single verification loop both check modes share: run
-// the hart to the checkpointed instruction count over env, then apply
+// runCheck is the single verification loop lockstep and divergent
+// replay share: run the hart to the checkpointed instruction count
+// over env, then apply
 // the induction checks (end register compare — through the plan's
 // permutation in divergent mode, bitwise via the RCU otherwise — digest
 // or leftover-log check).

@@ -77,64 +77,3 @@ func BenchmarkCoreConsume(b *testing.B) {
 		core.Consume(&effs[i%len(effs)])
 	}
 }
-
-// TestConsumeBatchZeroAlloc pins the batched delivery path at zero heap
-// allocations per batch in steady state.
-func TestConsumeBatchZeroAlloc(t *testing.T) {
-	effs := benchEffects(t, 2000)
-	core := MustNewCore(X2(), 2.8, ModeMain)
-	core.ConsumeBatch(effs)
-	allocs := testing.AllocsPerRun(1000, func() {
-		core.ConsumeBatch(effs[:256])
-	})
-	if allocs != 0 {
-		t.Errorf("Core.ConsumeBatch allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestConsumeBatchTimingIdentical proves batched delivery is
-// cycle-identical to per-effect delivery: two cores fed the same effect
-// stream — one a batch at a time, one an effect at a time — land on
-// bit-equal cycle counts, instruction counts and issue tallies.
-func TestConsumeBatchTimingIdentical(t *testing.T) {
-	effs := benchEffects(t, 2000)
-	one := MustNewCore(X2(), 2.8, ModeMain)
-	bat := MustNewCore(X2(), 2.8, ModeMain)
-	for lo := 0; lo < len(effs); {
-		hi := lo + 97
-		if hi > len(effs) {
-			hi = len(effs)
-		}
-		bat.ConsumeBatch(effs[lo:hi])
-		for i := lo; i < hi; i++ {
-			one.Consume(&effs[i])
-		}
-		if one.Cycles() != bat.Cycles() || one.Insts() != bat.Insts() {
-			t.Fatalf("after %d effects: cycles %v vs %v, insts %d vs %d",
-				hi, one.Cycles(), bat.Cycles(), one.Insts(), bat.Insts())
-		}
-		lo = hi
-	}
-	if one.IssueCounts() != bat.IssueCounts() {
-		t.Fatal("issue tallies diverged between batched and per-effect delivery")
-	}
-}
-
-// BenchmarkConsumeBatch measures batched delivery in per-instruction
-// terms (batches of 256), directly comparable to BenchmarkCoreConsume.
-func BenchmarkConsumeBatch(b *testing.B) {
-	effs := benchEffects(b, 2000)
-	core := MustNewCore(X2(), 2.8, ModeMain)
-	core.ConsumeBatch(effs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := 256
-		if rem := b.N - done; rem < n {
-			n = rem
-		}
-		start := done % (len(effs) - 256)
-		core.ConsumeBatch(effs[start : start+n])
-		done += n
-	}
-}

@@ -333,24 +333,6 @@ func (c *Core) allocFU(fuClass isa.Class, earliest float64) (start float64, late
 // cover wall time with few executed instructions.
 const pauseCycles = 48
 
-// ConsumeBatch advances the timing model over a batch of effects in
-// program order, as delivered by the block-compiled execution path. The
-// cycle-accurate model carries per-instruction dependencies (scoreboard
-// ready times, FU occupancy, fetch-line state) from one instruction
-// into the next, so consumption cannot be reordered or coalesced — the
-// batch form is timing-identical to per-effect delivery by
-// construction and amortises only the call and dispatch overhead. The
-// fetch-line tracker, MicroTrace cursor and cache hierarchy state all
-// carry across batch boundaries exactly as they carry across Consume
-// calls.
-//
-//paralint:hotpath
-func (c *Core) ConsumeBatch(effs []emu.Effect) {
-	for i := range effs {
-		c.Consume(&effs[i])
-	}
-}
-
 // Consume advances the timing model over one executed instruction.
 //
 //paralint:hotpath

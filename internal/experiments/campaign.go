@@ -33,13 +33,9 @@ func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult,
 	opp.Mode = core.ModeOpportunistic
 	opp.Recovery = core.DefaultRecovery()
 	// Campaign trials bypass the engine (they call fault.RunCampaign
-	// directly), so the process-wide check-worker and trace settings are
-	// applied here. Neither changes trial outcomes.
-	applyCheckWorkers(&full)
-	applyBlockExec(&full)
+	// directly), so the process-wide trace setting is applied here. It
+	// does not change trial outcomes.
 	applyTrace(&full)
-	applyCheckWorkers(&opp)
-	applyBlockExec(&opp)
 	applyTrace(&opp)
 
 	r, err := fault.RunCampaign(fault.CampaignConfig{

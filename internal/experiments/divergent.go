@@ -58,18 +58,14 @@ func divergentWorkloads(sc Scale) ([]core.Workload, error) {
 
 // divergentConfigs returns the matched lockstep and divergent system
 // configurations: identical checker pools, identical recovery policy —
-// the only difference is the check mode, so every delta in the tables is
+// the only difference is the strategy, so every delta in the tables is
 // attributable to decorrelation.
 func divergentConfigs() (lockstep, divergent core.Config) {
 	lockstep = core.DefaultConfig(a510Spec(4, 2.0))
 	lockstep.Recovery = core.DefaultRecovery()
 	divergent = lockstep
-	divergent.CheckMode = core.CheckDivergent
-	applyCheckWorkers(&lockstep)
-	applyBlockExec(&lockstep)
+	divergent.Strategy = core.StrategyDivergent
 	applyTrace(&lockstep)
-	applyCheckWorkers(&divergent)
-	applyBlockExec(&divergent)
 	applyTrace(&divergent)
 	return lockstep, divergent
 }
@@ -126,7 +122,7 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 	// Phase 2: the paired campaigns. Same seed, same trial count, same
 	// workload pool, one config each: genTrial's per-trial rng draws the
 	// identical (fault, workload, checker) stream for both, so trial i
-	// is the same experiment under the two check modes.
+	// is the same experiment under the two strategies.
 	mix := divergentMix()
 	run := func(cfg core.Config) (*fault.CampaignResult, error) {
 		return fault.RunCampaign(fault.CampaignConfig{

@@ -26,9 +26,9 @@ type FuzzResult struct {
 // ~insts-instruction programs, workers-way parallel (<= 0 selects one
 // worker per seed up to GOMAXPROCS via the campaign's own bounding),
 // over the seed stream selected by baseSeed. The report list is
-// byte-identical at any worker count, -j or -time-shards setting: each
-// seed's pipeline is self-contained and fixes its own engine
-// configurations internally.
+// byte-identical at any worker count or -j setting: each seed's
+// pipeline is self-contained and fixes its own engine configurations
+// internally.
 func Fuzz(seeds, insts, workers int, baseSeed uint64) *FuzzResult {
 	reports := fuzz.Campaign(fuzz.Options{
 		Seeds:    seeds,
@@ -82,6 +82,9 @@ func (r *FuzzResult) Table() string {
 	if f := r.Failures(); f != "" {
 		out += f
 	} else {
+		// Output tables are compared byte for byte across versions, so
+		// the line keeps its wording: "time-sharding" is the SpecCache
+		// stage (live vs record vs replay).
 		out += "all seeds agree across engines, strategies, time-sharding and divergent checking\n"
 	}
 	return out

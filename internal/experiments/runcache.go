@@ -49,7 +49,6 @@ var fingerprintedConfigFields = map[string]bool{
 	"Checkers":               true,
 	"Mode":                   true,
 	"HashMode":               true,
-	"CheckMode":              true,
 	"Divergent":              true,
 	"Strategy":               true,
 	"StrategyTuning":         true,
@@ -60,21 +59,11 @@ var fingerprintedConfigFields = map[string]bool{
 	"CheckpointDrains":       true,
 	"InterruptIntervalInsts": true,
 	"SamplePeriod":           true,
-	// CheckWorkers only changes wall-clock time: the pipelined engine
-	// guarantees byte-identical results at every worker count
-	// (core/pipeline.go), so runs differing only here share one entry.
-	"CheckWorkers": false,
-	// TimeShards and Spec drive the parallel-in-time engine (core/spec.go),
-	// which guarantees byte-identical tables at every shard count and with
-	// or without a speculation cache attached: both are pure wall-clock
-	// knobs, so hashing them would split the cache for no semantic reason.
-	"TimeShards": false,
-	"Spec":       false,
-	// BlockExec picks the block-compiled vs per-instruction execution
-	// engine (core/system.go), which produce bit-identical simulated
-	// outcomes (core/blockexec_test.go): another pure wall-clock knob,
-	// so hashing it would split the cache for no semantic reason.
-	"BlockExec":          false,
+	// Spec attaches the functional-stream cache (core/spec.go), which
+	// guarantees byte-identical results with or without it: a pure
+	// wall-clock knob, so hashing it would split the cache for no
+	// semantic reason.
+	"Spec":               false,
 	"NoC":                true,
 	"Layout":             true,
 	"LSLTrafficOnNoC":    true,
@@ -156,13 +145,13 @@ func writeConfig(w io.Writer, cfg *core.Config) {
 	fmt.Fprintf(w, "mode=%v hash=%v eager=%v timeout=%v dedlsl=%v ckpt=%v/%v\n",
 		cfg.Mode, cfg.HashMode, cfg.EagerWake, cfg.TimeoutInsts,
 		cfg.DedicatedLSLBytes, cfg.CheckpointStallCycles, cfg.CheckpointDrains)
-	// Checking mode, the decorrelation parameters that shape the
-	// divergent variant, and the verification strategy with its tuning.
-	// The strategy hashes in resolved form so an explicit
-	// StrategyLockstep and the Auto default (which resolves to it)
-	// share one cache entry — they are the same simulation.
-	fmt.Fprintf(w, "checkmode=%v divergent=%+v strategy=%v tuning=%+v\n",
-		cfg.CheckMode, cfg.Divergent, cfg.ResolvedStrategy(), cfg.StrategyTuning)
+	// The decorrelation parameters that shape the divergent variant,
+	// and the verification strategy with its tuning. The strategy hashes
+	// in resolved form so an explicit StrategyLockstep and the Auto
+	// default (which resolves to it) share one cache entry — they are
+	// the same simulation.
+	fmt.Fprintf(w, "divergent=%+v strategy=%v tuning=%+v\n",
+		cfg.Divergent, cfg.ResolvedStrategy(), cfg.StrategyTuning)
 	// 11-12: interrupt and sampling policy.
 	fmt.Fprintf(w, "irq=%v sample=%v\n", cfg.InterruptIntervalInsts, cfg.SamplePeriod)
 	// 13-15: mesh, layout (dereferenced), LSL traffic accounting.
@@ -178,8 +167,8 @@ func writeConfig(w io.Writer, cfg *core.Config) {
 	// 20-22: recovery policy and workload seed. Recovery.Quarantine rides
 	// along inside %+v.
 	fmt.Fprintf(w, "recovery=%+v seed=%v\n", cfg.Recovery, cfg.Seed)
-	// CheckWorkers, TimeShards, Spec and Trace are deliberately NOT
-	// hashed; see the fingerprintedConfigFields table for the rationale.
+	// Spec and Trace are deliberately NOT hashed; see the
+	// fingerprintedConfigFields table for the rationale.
 }
 
 // workloadsKey renders the workload list's identity. Programs built from

@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"paraverser/internal/core"
 	"paraverser/internal/obs"
@@ -35,10 +34,10 @@ import (
 type Engine struct {
 	sem chan struct{}
 
-	// spec is the engine's shared speculation cache (core/spec.go): runs
-	// that share a functional stream — the same program and window at
-	// different frequencies, worker counts, or table positions — replay
-	// each other's recorded segments instead of re-emulating them.
+	// spec is the engine's shared functional-stream cache (core/spec.go):
+	// runs that share a functional stream — the same program and window
+	// at different frequencies, checker pools, or table positions —
+	// replay each other's recorded segments instead of re-emulating them.
 	// Attached only to cacheable submissions; results are byte-identical
 	// with or without it.
 	spec *core.SpecCache
@@ -67,21 +66,14 @@ func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	spec := core.NewSpecCache()
-	// core is a deterministic package (no wall clock); the engine injects
-	// one so the speculation layer can report stitch time in wall-clock
-	// observability counters. The reading feeds only the StitchNS stats
-	// counter, never a simulated outcome.
-	//paralint:allow(injected clock feeds the StitchNS observability counter only)
-	spec.SetClock(func() int64 { return time.Now().UnixNano() })
 	return &Engine{
 		sem:   make(chan struct{}, workers),
 		cache: make(map[runKey]*runCall),
-		spec:  spec,
+		spec:  core.NewSpecCache(),
 	}
 }
 
-// SpecStats samples the engine's speculation-cache counters.
+// SpecStats samples the engine's SpecCache counters.
 func (e *Engine) SpecStats() obs.SpecSnapshot { return e.spec.Stats() }
 
 // Workers returns the pool bound.
@@ -160,8 +152,8 @@ func (e *Engine) RecordMetrics(m *obs.RunMetrics) {
 // per-run shards plus the run-cache counters. Runs and Hits are functions
 // of the submission multiset alone (executed runs = unique cacheable
 // keys + uncacheable submissions), so the snapshot is byte-identical at
-// any -j / CheckWorkers setting; the scheduling-dependent in-flight
-// share split is deliberately excluded.
+// any -j setting; the scheduling-dependent in-flight share split is
+// deliberately excluded.
 func (e *Engine) MetricsSnapshot() *obs.Snapshot {
 	var b obs.SnapshotBuilder
 	e.Gather().AddTo(&b, "paraverser_")
@@ -201,8 +193,6 @@ func (f *Future) Wait() (*core.Result, error) {
 // submissions always execute privately but still occupy pool slots, so
 // fault-injection matrices parallelise under the same bound.
 func (e *Engine) Submit(cfg core.Config, ws []core.Workload) *Future {
-	applyCheckWorkers(&cfg)
-	applyBlockExec(&cfg)
 	applyStrategy(&cfg)
 	applyTrace(&cfg)
 	e.applySpec(&cfg)
@@ -250,8 +240,6 @@ func (e *Engine) noteHit(c *runCall) {
 // measurement window. The program is resolved inside the pooled task, so
 // first-time working-set generation parallelises with other runs.
 func (e *Engine) SubmitSpec(cfg core.Config, bench string, insts, warmup int64) *Future {
-	applyCheckWorkers(&cfg)
-	applyBlockExec(&cfg)
 	applyStrategy(&cfg)
 	applyTrace(&cfg)
 	e.applySpec(&cfg)
@@ -349,78 +337,28 @@ func SetWorkers(n int) {
 	defEngine = NewEngine(n)
 }
 
-// checkWorkers is the intra-run verification concurrency applied to
-// submitted configurations that leave Config.CheckWorkers zero. Results
-// are worker-invariant (core/pipeline.go) and CheckWorkers is excluded
-// from the cache fingerprint, so changing it never splits the cache.
-var checkWorkers atomic.Int64
+// SetTimeShards is a no-op kept for callers built against the
+// parallel-in-time engine. Each run is now a single goroutine that
+// records its stream from the live segment loop, so there is no
+// speculation depth left to set.
+//
+// Deprecated: there is nothing to configure; callers can drop the call.
+func SetTimeShards(int) {}
 
-// SetCheckWorkers sets how many checker-segment verifications each
-// simulation may run concurrently with its main lane (<= 1 runs checks
-// inline). Unlike SetWorkers this only changes wall-clock behaviour;
-// simulated results are byte-identical at any setting.
-func SetCheckWorkers(n int) { checkWorkers.Store(int64(n)) }
-
-func applyCheckWorkers(cfg *core.Config) {
-	if cfg.CheckWorkers == 0 {
-		cfg.CheckWorkers = int(checkWorkers.Load())
-	}
-}
-
-// blockExecOff disables the block-compiled execution engine for
-// submitted configurations that leave Config.BlockExec at its Auto zero
-// value. The engine is on by default; results are engine-invariant
-// (core/blockexec_test.go) and BlockExec is excluded from the cache
-// fingerprint, so flipping it never splits the cache.
-var blockExecOff atomic.Bool
-
-// SetBlockExec turns the block-compiled execution engine on or off for
-// subsequent submissions (default on). Like SetCheckWorkers this only
-// changes wall-clock behaviour; simulated results are bit-identical on
-// either engine.
-func SetBlockExec(on bool) { blockExecOff.Store(!on) }
-
-func applyBlockExec(cfg *core.Config) {
-	if cfg.BlockExec == core.BlockExecAuto {
-		if blockExecOff.Load() {
-			cfg.BlockExec = core.BlockExecOff
-		} else {
-			cfg.BlockExec = core.BlockExecOn
-		}
-	}
-}
-
-// timeShards is the speculation depth applied to submitted configurations
-// that leave Config.TimeShards zero. Like CheckWorkers it only changes
-// wall-clock behaviour (core/spec.go) and is excluded from the cache
-// fingerprint.
-var timeShards atomic.Int64
-
-// SetTimeShards sets how many segments each simulation lane may emulate
-// ahead of its timing stitch (<= 1 emulates inline). Simulated results
-// are byte-identical at any setting.
-func SetTimeShards(n int) { timeShards.Store(int64(n)) }
-
-// applySpec attaches the engine's speculation cache and the process-wide
-// shard depth to a cacheable submission. Fault-injection runs carry
-// interceptors whose per-run mutable state must never be shared, and the
-// speculation engine declines them anyway (laneSpecEligible); leaving
-// them untouched keeps that property obvious here.
+// applySpec attaches the engine's SpecCache to a cacheable submission.
+// Fault-injection runs carry interceptors whose per-run mutable state
+// must never be shared, and the cache declines them anyway
+// (laneSpecEligible); leaving them untouched keeps that property
+// obvious here.
 func (e *Engine) applySpec(cfg *core.Config) {
-	if !cacheable(cfg) {
-		return
-	}
-	if cfg.Spec == nil {
+	if cacheable(cfg) && cfg.Spec == nil {
 		cfg.Spec = e.spec
-	}
-	if cfg.TimeShards == 0 {
-		cfg.TimeShards = int(timeShards.Load())
 	}
 }
 
 // processStrategy is the verification strategy applied to submitted
 // configurations that leave Config.Strategy at its Auto zero value
-// (-strategy on the CLI). Unlike the knobs above it DOES change
+// (-strategy on the CLI). Unlike the SpecCache it DOES change
 // simulated outcomes — chunk-replay and relaxed-start alter timing and
 // detection latency by design — which is exactly why Strategy is hashed
 // into the cache fingerprint: runs under different strategies occupy
@@ -449,8 +387,8 @@ func applyStrategy(cfg *core.Config) {
 	if st == core.StrategyAuto || cfg.Strategy != core.StrategyAuto {
 		return
 	}
-	if cfg.CheckMode != core.CheckLockstep || cfg.Mode != core.ModeFullCoverage ||
-		cfg.HashMode || cfg.Recovery.Enabled || !cacheable(cfg) || len(cfg.Checkers) == 0 {
+	if cfg.Mode != core.ModeFullCoverage || cfg.HashMode || cfg.Recovery.Enabled ||
+		!cacheable(cfg) || len(cfg.Checkers) == 0 {
 		return
 	}
 	cfg.Strategy = st

@@ -35,15 +35,12 @@ func tinyScale() Scale {
 
 // TestWorkerCountDeterminism asserts the engine's core guarantee: the
 // rendered tables AND the exported metrics snapshot are byte-identical
-// no matter how many workers race over the run matrix or how many
-// checker verifications each run overlaps (-j and -check-workers).
+// no matter how many workers race over the run matrix (-j).
 func TestWorkerCountDeterminism(t *testing.T) {
-	defer SetCheckWorkers(0)
 	sc := tinyScale()
 	type tables struct{ fig6, fig7slow, fig7cov, metrics string }
 	var want tables
 	for i, workers := range []int{1, 2, 8} {
-		SetCheckWorkers(workers) // 1 = inline checks, then overlapped
 		e := NewEngine(workers)
 		r6, err := fig6(e, sc)
 		if err != nil {
@@ -74,44 +71,6 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		if got.metrics != want.metrics {
 			t.Errorf("exported metrics differ between 1 and %d workers:\n%s\n--- vs ---\n%s",
 				workers, got.metrics, want.metrics)
-		}
-	}
-}
-
-// TestTimeShardDeterminism asserts the parallel-in-time engine's
-// contract at the experiment level: fig. 6 tables and the exported
-// metrics are byte-identical at every speculation depth — each engine
-// carries a fresh speculation cache, so every depth exercises the
-// record path, and within each engine the shared baselines exercise
-// replay.
-func TestTimeShardDeterminism(t *testing.T) {
-	defer SetTimeShards(0)
-	sc := tinyScale()
-	var want6, wantMetrics string
-	for i, shards := range []int{1, 2, 8} {
-		SetTimeShards(shards)
-		e := NewEngine(2)
-		r6, err := fig6(e, sc)
-		if err != nil {
-			t.Fatalf("fig6 at %d shards: %v", shards, err)
-		}
-		var buf bytes.Buffer
-		if err := e.MetricsSnapshot().WriteJSON(&buf); err != nil {
-			t.Fatalf("metrics snapshot at %d shards: %v", shards, err)
-		}
-		if i == 0 {
-			want6, wantMetrics = r6.Table(), buf.String()
-			continue
-		}
-		if got := r6.Table(); got != want6 {
-			t.Errorf("fig6 table differs between 1 and %d shards:\n%s\n--- vs ---\n%s", shards, got, want6)
-		}
-		if buf.String() != wantMetrics {
-			t.Errorf("exported metrics differ between 1 and %d shards", shards)
-		}
-		if st := e.SpecStats(); st.StreamsRecorded == 0 || st.StreamsReplayed == 0 {
-			t.Errorf("at %d shards the speculation cache recorded %d and replayed %d streams; the figure must exercise both paths",
-				shards, st.StreamsRecorded, st.StreamsReplayed)
 		}
 	}
 }
@@ -289,14 +248,14 @@ func TestFingerprintCoversConfig(t *testing.T) {
 
 // TestFingerprintExcludesObservability asserts the deliberately excluded
 // fields really do not split the cache: configs differing only in
-// CheckWorkers or Trace must share one fingerprint.
+// Spec or Trace must share one fingerprint.
 func TestFingerprintExcludesObservability(t *testing.T) {
 	a := core.DefaultConfig(a510Spec(4, 2.0))
 	b := a
-	b.CheckWorkers = 7
+	b.Spec = core.NewSpecCache()
 	b.Trace = obs.NewTrace(16)
 	if fingerprint(&a) != fingerprint(&b) {
-		t.Error("CheckWorkers/Trace changed the fingerprint; they must not split the cache")
+		t.Error("Spec/Trace changed the fingerprint; they must not split the cache")
 	}
 }
 

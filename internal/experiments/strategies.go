@@ -37,9 +37,7 @@ type StrategyResult struct {
 
 // strategyConfigs returns one matched configuration per strategy:
 // identical main core, checker pool and recovery policy — only the
-// verification protocol differs. Divergent rides on its own check mode
-// (the strategy layer resolves it); the other three are lockstep-mode
-// full-coverage variants.
+// verification protocol differs.
 func strategyConfigs() (order []string, cfgs map[string]core.Config) {
 	base := core.DefaultConfig(a510Spec(4, 2.0))
 	base.Recovery = core.DefaultRecovery()
@@ -51,15 +49,12 @@ func strategyConfigs() (order []string, cfgs map[string]core.Config) {
 		case "lockstep":
 			cfg.Strategy = core.StrategyLockstep
 		case "divergent":
-			cfg.CheckMode = core.CheckDivergent
 			cfg.Strategy = core.StrategyDivergent
 		case "chunk-replay":
 			cfg.Strategy = core.StrategyChunkReplay
 		case "relaxed":
 			cfg.Strategy = core.StrategyRelaxed
 		}
-		applyCheckWorkers(&cfg)
-		applyBlockExec(&cfg)
 		applyTrace(&cfg)
 		cfgs[name] = cfg
 	}

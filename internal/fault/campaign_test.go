@@ -202,7 +202,7 @@ func TestClassifySDC(t *testing.T) {
 func divergentCampaignConfig(trials, workers int) CampaignConfig {
 	div := core.DefaultConfig(core.CheckerSpec{CPU: cpu.A510(), FreqGHz: 2.0, Count: 3})
 	div.Recovery = core.DefaultRecovery()
-	div.CheckMode = core.CheckDivergent
+	div.Strategy = core.StrategyDivergent
 	return CampaignConfig{
 		Seed:    2025,
 		Trials:  trials,
@@ -256,14 +256,14 @@ func TestDivergentDetectsCommonModeEscape(t *testing.T) {
 	fault := Fault{Kind: StuckAddr, Bit: 13}
 	ws := []core.Workload{{Name: "campaign-a", Prog: campaignProgram(6000)}}
 
-	run := func(mode core.CheckMode) (*core.Result, *Injector) {
+	run := func(strat core.Strategy) (*core.Result, *Injector) {
 		inj, err := NewInjector(fault)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := core.DefaultConfig(core.CheckerSpec{CPU: cpu.A510(), FreqGHz: 2.0, Count: 3})
 		cfg.Recovery = core.DefaultRecovery()
-		cfg.CheckMode = mode
+		cfg.Strategy = strat
 		cfg.MainInterceptor = func(int) emu.Interceptor { return inj }
 		res, err := core.Run(cfg, ws)
 		if err != nil {
@@ -272,7 +272,7 @@ func TestDivergentDetectsCommonModeEscape(t *testing.T) {
 		return res, inj
 	}
 
-	lockRes, lockInj := run(core.CheckLockstep)
+	lockRes, lockInj := run(core.StrategyLockstep)
 	if lockInj.Activations == 0 {
 		t.Fatal("stuck-addr fault never activated; the workload does not exercise bit 13")
 	}
@@ -283,7 +283,7 @@ func TestDivergentDetectsCommonModeEscape(t *testing.T) {
 		t.Fatalf("lockstep outcome %v, want undetected-sdc", got)
 	}
 
-	divRes, divInj := run(core.CheckDivergent)
+	divRes, divInj := run(core.StrategyDivergent)
 	if divInj.Activations == 0 {
 		t.Fatal("fault inactive under the divergent run")
 	}

@@ -15,7 +15,7 @@ import (
 // Divergence describes one differential mismatch: which engine pair (or
 // which system configuration) disagreed, and how.
 type Divergence struct {
-	Stage  string // "step-vs-blocks", "strategy:<name>", "timeshards", "divergent"
+	Stage  string // "step-vs-blocks", "strategy:<name>", "spec"
 	Detail string
 }
 
@@ -117,11 +117,10 @@ func checkerPool() core.CheckerSpec {
 
 // sysConfig builds one full-system configuration for the differential
 // matrix.
-func sysConfig(seed uint64, strat core.Strategy, blocks core.BlockExecMode) core.Config {
+func sysConfig(seed uint64, strat core.Strategy) core.Config {
 	cfg := core.DefaultConfig(checkerPool())
 	cfg.Seed = seed
 	cfg.Strategy = strat
-	cfg.BlockExec = blocks
 	return cfg
 }
 
@@ -151,11 +150,12 @@ func Differential(p *isa.Program, seed uint64) *Divergence {
 		refInsts += h.Instret
 	}
 
-	// 2. Every checker strategy, with and without the block-compiled
-	// engine: each run must retire exactly the reference instruction
-	// count and raise zero detections (a detection on a fault-free run
-	// is a checker false positive; an instruction-count delta is a
-	// functional divergence inside the system model).
+	// 2. Every checker strategy: each run must retire exactly the
+	// reference instruction count and raise zero detections (a detection
+	// on a fault-free run is a checker false positive; an
+	// instruction-count delta is a functional divergence inside the
+	// system model). Divergent checking needs single-hart programs,
+	// which is all the generator emits.
 	ws := []core.Workload{{Name: p.Name, Prog: p}}
 	strategies := []struct {
 		name  string
@@ -164,57 +164,44 @@ func Differential(p *isa.Program, seed uint64) *Divergence {
 		{"lockstep", core.StrategyLockstep},
 		{"chunk-replay", core.StrategyChunkReplay},
 		{"relaxed", core.StrategyRelaxed},
+		{"divergent", core.StrategyDivergent},
 	}
 	for _, s := range strategies {
-		for _, blocks := range []core.BlockExecMode{core.BlockExecOff, core.BlockExecOn} {
-			res, err := core.Run(sysConfig(seed, s.strat, blocks), ws)
-			if err != nil {
-				return &Divergence{Stage: "strategy:" + s.name, Detail: err.Error()}
-			}
-			if n := res.Detections(); n != 0 {
-				return &Divergence{Stage: "strategy:" + s.name,
-					Detail: fmt.Sprintf("%d false detection(s) on a fault-free run (blocks=%v)", n, blocks)}
-			}
-			if got := res.TotalInsts(); got != refInsts {
-				return &Divergence{Stage: "strategy:" + s.name,
-					Detail: fmt.Sprintf("retired %d instructions, reference %d (blocks=%v)", got, refInsts, blocks)}
-			}
+		if s.strat == core.StrategyDivergent && len(p.Entries) != 1 {
+			continue
 		}
-	}
-
-	// 3. Parallel-in-time speculation: a sharded run with a spec cache
-	// must render byte-identically to the sequential run.
-	seq := sysConfig(seed, core.StrategyLockstep, core.BlockExecAuto)
-	seq.TimeShards = 1
-	seqRes, err := core.Run(seq, ws)
-	if err != nil {
-		return &Divergence{Stage: "timeshards", Detail: err.Error()}
-	}
-	shard := sysConfig(seed, core.StrategyLockstep, core.BlockExecAuto)
-	shard.Spec = core.NewSpecCache()
-	shard.TimeShards = 4
-	shardRes, err := core.Run(shard, ws)
-	if err != nil {
-		return &Divergence{Stage: "timeshards", Detail: err.Error()}
-	}
-	if a, b := flattenResult(seqRes), flattenResult(shardRes); a != b {
-		return &Divergence{Stage: "timeshards",
-			Detail: fmt.Sprintf("TimeShards=4 diverged from sequential:\n--- seq ---\n%s\n--- shards ---\n%s", a, b)}
-	}
-
-	// 4. Divergent checking: the decorrelated variant must also verify
-	// clean against the original (single-hart programs only, which is
-	// all the generator emits).
-	if len(p.Entries) == 1 {
-		div := sysConfig(seed, core.StrategyAuto, core.BlockExecAuto)
-		div.CheckMode = core.CheckDivergent
-		res, err := core.Run(div, ws)
+		res, err := core.Run(sysConfig(seed, s.strat), ws)
 		if err != nil {
-			return &Divergence{Stage: "divergent", Detail: err.Error()}
+			return &Divergence{Stage: "strategy:" + s.name, Detail: err.Error()}
 		}
 		if n := res.Detections(); n != 0 {
-			return &Divergence{Stage: "divergent",
-				Detail: fmt.Sprintf("%d false detection(s) in divergent mode", n)}
+			return &Divergence{Stage: "strategy:" + s.name,
+				Detail: fmt.Sprintf("%d false detection(s) on a fault-free run", n)}
+		}
+		if got := res.TotalInsts(); got != refInsts {
+			return &Divergence{Stage: "strategy:" + s.name,
+				Detail: fmt.Sprintf("retired %d instructions, reference %d", got, refInsts)}
+		}
+	}
+
+	// 3. SpecCache: a run without the cache, a run recording into a
+	// fresh cache, and a run replaying from it must render
+	// byte-identically.
+	live, err := core.Run(sysConfig(seed, core.StrategyLockstep), ws)
+	if err != nil {
+		return &Divergence{Stage: "spec", Detail: err.Error()}
+	}
+	want := flattenResult(live)
+	cached := sysConfig(seed, core.StrategyLockstep)
+	cached.Spec = core.NewSpecCache()
+	for _, run := range []string{"record", "replay"} {
+		res, err := core.Run(cached, ws)
+		if err != nil {
+			return &Divergence{Stage: "spec", Detail: run + ": " + err.Error()}
+		}
+		if got := flattenResult(res); got != want {
+			return &Divergence{Stage: "spec",
+				Detail: fmt.Sprintf("%s run diverged from the run without a SpecCache:\n--- live ---\n%s\n--- %s ---\n%s", run, want, run, got)}
 		}
 	}
 	return nil

@@ -11,8 +11,8 @@ import (
 // functional-unit issue counts. Every field is integer-valued and is
 // written only at protocol-defined points of the orchestrator loop
 // (segment close, checker dispatch, deferred join, recovery event), so
-// a run's metrics are byte-identical at any CheckWorkers setting and
-// shards merge commutatively across any worker-pool schedule.
+// a run's metrics are a deterministic function of its configuration
+// and shards merge commutatively across any worker-pool schedule.
 //
 // Counters cover the whole run including warmup: they are raw event
 // tallies (matching the segment trace), unlike LaneResult statistics,
