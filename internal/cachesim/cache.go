@@ -8,6 +8,7 @@ package cachesim
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Config describes one cache.
@@ -103,16 +104,47 @@ type Cache struct {
 	// currently holding log entries, filled linearly from line 0
 	// (set-major order).
 	logEnd int
+
+	// touched marks the sets a fill or LogAppendLine wrote — the only
+	// writers of a set that New left zero — so Release clears what a run
+	// wrote instead of the whole array. A hit implies an earlier fill, so
+	// the hit path never writes it. Set s is bit s*Ways (the index of its
+	// first line): fill derives that from the set slice alone, so Access
+	// keeps no extra state live across its way scan.
+	touched []uint64
 }
 
-// New builds a cache from cfg.
+// pools recycles released caches per configuration: New draws from the
+// pool of its Config before allocating, Release puts a reset cache back.
+var (
+	poolsMu sync.Mutex
+	pools   = map[Config]*sync.Pool{}
+)
+
+func poolFor(cfg Config) *sync.Pool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[cfg]
+	if p == nil {
+		p = new(sync.Pool)
+		pools[cfg] = p
+	}
+	return p
+}
+
+// New builds a cache from cfg, recycling a released cache of the same
+// configuration when one is available.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if c, ok := poolFor(cfg).Get().(*Cache); ok {
+		return c, nil
+	}
 	c := &Cache{
 		cfg:       cfg,
 		ways:      make([]way, cfg.Lines()),
+		touched:   make([]uint64, (cfg.Lines()+63)/64),
 		lineShift: -1,
 		setMask:   uint64(cfg.Sets() - 1),
 		setShift:  uint32(bits.TrailingZeros(uint(cfg.Sets()))),
@@ -191,6 +223,8 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 func (c *Cache) fill(set []way, want uint64, write bool) {
+	// set is c.ways[first : first+nways] and len(c.ways) == cap(c.ways).
+	c.touch(len(c.ways) - cap(set))
 	victim := -1
 	var oldest uint32 = ^uint32(0)
 	for i := range set {
@@ -216,6 +250,34 @@ func (c *Cache) fill(set []way, want uint64, write bool) {
 		c.Stats.Writebacks++
 	}
 	*w = way{key: want, dirty: write, lru: c.lruClock}
+}
+
+// touch records that the set whose first line is first may differ from
+// its New state.
+func (c *Cache) touch(first int) { c.touched[first>>6] |= 1 << (first & 63) }
+
+// Release returns c to exactly the state New builds and hands it to the
+// next New of the same Config. The caller must not use c afterwards.
+// Only the touched sets are cleared, so releasing after a short run
+// costs what the run wrote, not the size of the tag array.
+func (c *Cache) Release() {
+	c.reset()
+	poolFor(c.cfg).Put(c)
+}
+
+// reset clears every touched set and the run's counters and registers.
+func (c *Cache) reset() {
+	for i, word := range c.touched {
+		for word != 0 {
+			first := i<<6 + bits.TrailingZeros64(word)
+			clear(c.ways[first : first+c.nways])
+			word &= word - 1
+		}
+		c.touched[i] = 0
+	}
+	c.lruClock = 0
+	c.Stats = Stats{}
+	c.logEnd = 0
 }
 
 // InvalidateAll drops every non-log line (e.g. when a core is handed to a
@@ -244,7 +306,9 @@ func (c *Cache) LogAppendLine() bool {
 	if c.logEnd >= len(c.ways) {
 		return false
 	}
-	w := &c.ways[(c.logEnd%c.nsets)*c.nways+c.logEnd/c.nsets]
+	first := (c.logEnd % c.nsets) * c.nways
+	c.touch(first)
+	w := &c.ways[first+c.logEnd/c.nsets]
 	if w.key&(wayValid|wayLog) == wayValid {
 		c.Stats.LogEvictions++
 		if w.dirty {

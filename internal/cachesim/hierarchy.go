@@ -114,3 +114,15 @@ func (h *Hierarchy) InvalidateAll() {
 		h.L2.InvalidateAll()
 	}
 }
+
+// Release releases every private level (Cache.Release) and detaches it,
+// so a use after release fails loudly instead of writing into a cache
+// that a later New handed to another owner.
+func (h *Hierarchy) Release() {
+	for _, c := range [...]*Cache{h.L1I, h.L1D, h.L2} {
+		if c != nil {
+			c.Release()
+		}
+	}
+	h.L1I, h.L1D, h.L2 = nil, nil, nil
+}

@@ -932,19 +932,40 @@ func (s *System) traceCheck(l *lane, ck *Checker, seg *Segment, startNS, durNS f
 // Run builds and runs a system in one call. When a replayed stream
 // fails the continuity check, the whole system is rebuilt and rerun
 // without the SpecCache — the check turns any stream defect into
-// wall-clock cost, never a result difference.
+// wall-clock cost, never a result difference. Each system's caches are
+// released for reuse once its run returns (System.release).
 func Run(cfg Config, workloads []Workload) (*Result, error) {
 	s, err := NewSystem(cfg, workloads)
 	if err != nil {
 		return nil, err
 	}
 	res, err := s.Run()
+	s.release()
 	if err != nil && cfg.Spec != nil && errors.Is(err, ErrSpecDiverged) {
 		cfg.Spec = nil
 		if s, err = NewSystem(cfg, workloads); err != nil {
 			return nil, err
 		}
-		return s.Run()
+		res, err = s.Run()
+		s.release()
 	}
 	return res, err
+}
+
+// release hands every cache of the system — each lane's main and checker
+// L1I/L1D/L2 and the LLC — back for reuse by a later NewSystem
+// (cachesim.Cache.Release). Run calls it once s.Run has returned: every
+// check has been joined (or, after an error, the system is discarded),
+// and the Result holds no cache, so nothing reads the tag arrays again.
+func (s *System) release() {
+	for _, l := range s.lanes {
+		l.main.Hier.Release()
+		if l.alloc != nil {
+			for _, ck := range l.alloc.Checkers() {
+				ck.Core.Hier.Release()
+			}
+		}
+	}
+	s.l3.Release()
+	s.l3 = nil
 }

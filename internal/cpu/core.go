@@ -117,7 +117,7 @@ func (r *ring) push(t float64) float64 {
 	return oldest
 }
 
-// oldest returns the displaced-entry constraint without inserting.
+// peek returns the displaced-entry constraint without inserting.
 func (r *ring) peek() float64 { return r.buf[r.idx] }
 
 // NewCore builds a core with fresh caches and predictor state. freqGHz
