@@ -112,13 +112,13 @@ func Decorrelate(p *isa.Program, opts DecorrelateOptions) (*Variant, error) {
 
 	entries := make([]uint64, len(p.Entries))
 	copy(entries, p.Entries)
-	data := make([]byte, len(p.Data))
-	copy(data, p.Data)
 	v := &Variant{
 		Prog: &isa.Program{
-			Name:     p.Name + "+dme",
-			Insts:    insts,
-			Data:     data,
+			Name:  p.Name + "+dme",
+			Insts: insts,
+			// Programs are immutable, so the variant shares the
+			// original's data bytes; only their base address moves.
+			Data:     p.Data,
 			DataBase: p.DataBase + shift,
 			Entries:  entries,
 		},

@@ -4,7 +4,11 @@
 // predictors in the paper's Table I, plus a branch target buffer.
 package branch
 
-import "paraverser/internal/isa"
+import (
+	"sync"
+
+	"paraverser/internal/isa"
+)
 
 // Predictor predicts conditional branch directions and learns from
 // outcomes.
@@ -238,6 +242,37 @@ type Unit struct {
 // NewUnit returns a branch unit around the given direction predictor.
 func NewUnit(dir Predictor, btbLog uint) *Unit {
 	return &Unit{Dir: dir, BTB: NewBTB(btbLog)}
+}
+
+// corePools recycles released core units, little at 0 and big at 1: a
+// big unit's ~300 KiB of tables dominate a short simulation's allocation.
+var corePools [2]sync.Pool
+
+// NewCoreUnit returns a fresh or recycled branch unit of a big core
+// (NewDefaultTAGE, 8K-entry BTB) or a little one (NewSmallTAGE, 2K BTB).
+func NewCoreUnit(big bool) *Unit {
+	if u, ok := corePools[boolBit(big)].Get().(*Unit); ok {
+		return u
+	}
+	if big {
+		return NewUnit(NewDefaultTAGE(), 13)
+	}
+	return NewUnit(NewSmallTAGE(), 11)
+}
+
+// Release resets a unit built by NewCoreUnit to the state NewCoreUnit
+// builds and recycles it; u must not be used afterwards.
+func (u *Unit) Release() {
+	t := u.Dir.(*TAGE)
+	for _, c := range t.comps {
+		clear(c)
+	}
+	clear(t.base.table)
+	t.history = 0
+	clear(u.BTB.tags)
+	clear(u.BTB.targets)
+	u.Stats = Stats{}
+	corePools[boolBit(len(t.hlens) == 5)].Put(u)
 }
 
 // Resolve predicts and then trains on the branch at pc with actual

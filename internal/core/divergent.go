@@ -172,22 +172,10 @@ type divState struct {
 	dirty bool
 }
 
+// newDivState starts the private image as an overlay on the program's
+// data segment, which copies a page on the first verified store to it.
 func newDivState(plan *DivergentPlan) *divState {
-	d := &divState{plan: plan, mem: emu.NewMemory()}
-	d.mem.WriteBytes(plan.Orig.DataBase, plan.Orig.Data)
-	return d
-}
-
-// resync rebuilds the private image from the main's memory. The image is
-// keyed by canonical address, so pages copy raw. Called only after
-// unchecked windows, which only graceful degradation produces in
-// full-coverage mode.
-func (d *divState) resync(main *emu.Memory) {
-	d.mem = emu.NewMemory()
-	main.ForEachPage(func(base uint64, data []byte) {
-		d.mem.WriteBytes(base, data)
-	})
-	d.dirty = false
+	return &divState{plan: plan, mem: emu.NewProgramMemory(plan.Orig)}
 }
 
 // DivergentEnv is the emu.Env the divergent checker executes against.

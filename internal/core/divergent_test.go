@@ -145,3 +145,55 @@ func TestPlanCanonicalisation(t *testing.T) {
 		t.Error("PC divergence accepted by EndMatches")
 	}
 }
+
+// TestDivergentResyncAfterDegradedWindow drives the private image
+// through a resync. Faults quarantine both checkers in turn, the lane
+// runs unchecked segments whose stores bypass the image, and once the
+// faults heal probation readmits a checker and the image is rebuilt
+// from the main's memory. A stale or partial rebuild would contradict
+// the logged loads, so every check after the heal must be clean.
+func TestDivergentResyncAfterDegradedWindow(t *testing.T) {
+	cfg := divergentConfig(2)
+	cfg.Recovery = DefaultRecovery()
+	cfg.Recovery.Quarantine.CooldownNS = 10_000
+	var s *System
+	checks, healed := 0, false
+	cfg.CheckerInterceptor = func(_, id int) emu.Interceptor {
+		checks++
+		// Checker 0 fails after a few clean checks; checker 1 once 0
+		// is quarantined, after its clean checks gave probation a
+		// verified segment to re-test.
+		q := s.lanes[0].res.Recovery.Quarantines
+		if !healed && (id == 0 && checks > 3 || id == 1 && q > 0 && checks > 12) {
+			return &stuckAtInterceptor{bit: 3}
+		}
+		return nil
+	}
+	var err error
+	s, err = NewSystem(cfg, []Workload{{Name: "mixed", Prog: mixedProgram(60000)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atHeal uint64
+	for {
+		l := s.nextLane()
+		if l == nil {
+			break
+		}
+		if err := s.runSegment(l); err != nil {
+			t.Fatal(err)
+		}
+		if !healed && l.res.DegradedSegments > 2 {
+			healed = true
+			atHeal = s.metrics.DivergentDataMismatches
+		}
+	}
+	res := s.collect()
+	lane := res.Lanes[0]
+	if lane.DegradedSegments == 0 || lane.Recovery.Readmissions == 0 {
+		t.Fatalf("no degraded window and readmission: degraded %d, %+v", lane.DegradedSegments, lane.Recovery)
+	}
+	if got := res.Metrics.DivergentDataMismatches; got != atHeal {
+		t.Errorf("%d image mismatches after the heal, want 0", got-atHeal)
+	}
+}

@@ -237,10 +237,7 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 
 	laneIdx := 0
 	for _, w := range workloads {
-		// The shared image cache materialises each program's data segment
-		// once per process; every machine gets a private copy-on-write
-		// view, so per-run setup is O(pages touched), not O(data bytes).
-		mach, err := emu.NewMachineShared(w.Prog, cfg.Seed)
+		mach, err := emu.NewMachine(w.Prog, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: workload %q: %w", w.Name, err)
 		}
@@ -455,8 +452,10 @@ func (s *System) runSegment(l *lane) error {
 	if l.div != nil {
 		if l.segChecked && l.div.dirty {
 			// Unchecked windows ran past the private image; rebuild it
-			// from the main's pre-segment memory before this check.
-			l.div.resync(l.proc.mach.Mem)
+			// from the main's pre-segment memory before this check. Both
+			// are keyed by canonical address and overlay one program, so
+			// the clone copies only the pages the main has written.
+			l.div.mem, l.div.dirty = l.proc.mach.Mem.Clone(), false
 		} else if !l.segChecked {
 			// This segment's stores will not reach the private image.
 			l.div.dirty = true
@@ -952,17 +951,16 @@ func Run(cfg Config, workloads []Workload) (*Result, error) {
 	return res, err
 }
 
-// release hands every cache of the system — each lane's main and checker
-// L1I/L1D/L2 and the LLC — back for reuse by a later NewSystem
-// (cachesim.Cache.Release). Run calls it once s.Run has returned: every
+// release hands every core (cpu.Core.Release) and the LLC back for reuse
+// by a later NewSystem. Run calls it once s.Run has returned: every
 // check has been joined (or, after an error, the system is discarded),
-// and the Result holds no cache, so nothing reads the tag arrays again.
+// and the Result holds no cache or predictor, so nothing reads them again.
 func (s *System) release() {
 	for _, l := range s.lanes {
-		l.main.Hier.Release()
+		l.main.Release()
 		if l.alloc != nil {
 			for _, ck := range l.alloc.Checkers() {
-				ck.Core.Hier.Release()
+				ck.Core.Release()
 			}
 		}
 	}

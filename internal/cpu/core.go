@@ -145,11 +145,7 @@ func NewCore(cfg Config, freqGHz float64, mode Mode) (*Core, error) {
 			L2:  cachesim.MustNew(cfg.L2),
 		},
 	}
-	if cfg.BigPredictor {
-		c.BP = branch.NewUnit(branch.NewDefaultTAGE(), 13)
-	} else {
-		c.BP = branch.NewUnit(branch.NewSmallTAGE(), 11)
-	}
+	c.BP = branch.NewCoreUnit(cfg.BigPredictor)
 	for class, fu := range cfg.FUs {
 		c.fuN[class] = int32(fu.Count)
 		c.fuCfg[class] = fu
@@ -176,6 +172,16 @@ func MustNewCore(cfg Config, freqGHz float64, mode Mode) *Core {
 		panic(err)
 	}
 	return c
+}
+
+// Release hands the core's caches and branch unit back for reuse by a
+// later NewCore and detaches them, so a use after release fails loudly.
+func (c *Core) Release() {
+	c.Hier.Release()
+	if c.BP != nil {
+		c.BP.Release()
+		c.BP = nil
+	}
 }
 
 // Config returns the core's configuration.

@@ -348,3 +348,14 @@ func TestInOrderStallsOnUnreadySource(t *testing.T) {
 		t.Errorf("dependent fdiv chain %.1f cyc/inst on A510, want latency-bound (>= 8)", perInst)
 	}
 }
+
+// TestCoreReleaseDetaches: Release hands back and detaches the caches
+// and the branch unit, and a second Release recycles nothing twice.
+func TestCoreReleaseDetaches(t *testing.T) {
+	c := MustNewCore(X2(), 2.8, ModeMain)
+	c.Release()
+	c.Release()
+	if c.BP != nil || c.Hier.L1D != nil {
+		t.Error("Release left the branch unit or L1D attached")
+	}
+}

@@ -241,54 +241,59 @@ func TestRunBlocksAfterHalt(t *testing.T) {
 	}
 }
 
-// TestPageCacheAliasing is the satellite-3 regression: a PageCache
-// holding a raw page pointer must observe copy-on-write replacements
-// made through a different path, and must never scribble on pages a
-// snapshot shares.
+// TestPageCacheAliasing: a PageCache holding a raw page pointer must
+// observe copy-on-write replacements made through a different path, and
+// must never scribble on a base page served from the program's Data.
 func TestPageCacheAliasing(t *testing.T) {
-	mem := NewMemory()
-	if err := mem.Store(0x1000, 8, 0xA1); err != nil {
-		t.Fatal(err)
-	}
+	prog, offs := segProgram(2 * pageSize)
+	addr := prog.DataBase + offs[0]
+	mem := NewProgramMemory(prog)
 	var c1, c2 PageCache
-	if v, _ := c2.Load(mem, 0x1000, 8); v != 0xA1 {
+	if v, _ := c2.Load(mem, addr, 8); v != offs[0]+1 {
 		t.Fatalf("c2 initial load = %#x", v)
 	}
-	snap := mem.Snapshot()
+	if v, _ := c1.Load(mem, addr, 8); v != offs[0]+1 {
+		t.Fatalf("c1 initial load = %#x", v)
+	}
 
-	// Write through c1: the page is now copy-on-write; the write must
-	// land in a private copy, not the snapshot-shared page.
-	if err := c1.Store(mem, 0x1000, 8, 0xB2); err != nil {
+	// Write through c1, which cached the base page on its load: the
+	// write must land in a private copy, not the program's Data.
+	if err := c1.Store(mem, addr, 8, 0xB2); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := NewMemoryFromSnapshot(snap).Load(0x1000, 8); v != 0xA1 {
-		t.Fatalf("snapshot scribbled: %#x", v)
+	if v, _ := NewProgramMemory(prog).Load(addr, 8); v != offs[0]+1 {
+		t.Fatalf("program Data scribbled: %#x", v)
 	}
-	// The aliasing case proper: c2 cached the pre-COW page pointer; its
+	// The aliasing case proper: c2 cached the base page pointer; its
 	// next load must see the post-COW data, not the stale page.
-	if v, _ := c2.Load(mem, 0x1000, 8); v != 0xB2 {
+	if v, _ := c2.Load(mem, addr, 8); v != 0xB2 {
 		t.Fatalf("c2 read stale pre-COW page: %#x, want 0xB2", v)
 	}
 	// Cross-memory: the caches must miss on a different Memory even at
 	// the same page number.
-	m2 := NewMemoryFromSnapshot(snap)
-	if v, _ := c1.Load(m2, 0x1000, 8); v != 0xA1 {
-		t.Fatalf("c1 leaked across memories: %#x, want 0xA1", v)
+	m2 := NewProgramMemory(prog)
+	if v, _ := c1.Load(m2, addr, 8); v != offs[0]+1 {
+		t.Fatalf("c1 leaked across memories: %#x, want %#x", v, offs[0]+1)
 	}
-	// Cross-page write replaces the entry; the original page rereads
-	// correctly afterwards.
+	// Cross-page write (outside the segment) replaces the entry; the
+	// original page rereads correctly afterwards.
 	if err := c1.Store(mem, 0x5000, 8, 0xC3); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := c1.Load(mem, 0x1000, 8); v != 0xB2 {
+	if v, _ := c1.Load(mem, addr, 8); v != 0xB2 {
 		t.Fatalf("after cross-page write: %#x, want 0xB2", v)
 	}
-	// Straddling accesses take the byte path but stay coherent.
-	if err := c1.Store(mem, 0x1FFC, 8, 0xDDEE_FF00_1122_3344); err != nil {
+	// Straddling accesses take the byte path but stay coherent, here
+	// across the boundary of two base pages.
+	straddle := prog.DataBase + pageSize - 4
+	if err := c1.Store(mem, straddle, 8, 0xDDEE_FF00_1122_3344); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := c1.Load(mem, 0x1FFC, 8); v != 0xDDEE_FF00_1122_3344 {
+	if v, _ := c1.Load(mem, straddle, 8); v != 0xDDEE_FF00_1122_3344 {
 		t.Fatalf("straddling readback: %#x", v)
+	}
+	if v, _ := m2.Load(straddle, 8); v == 0xDDEE_FF00_1122_3344 {
+		t.Fatal("straddling store reached a sibling memory")
 	}
 }
 

@@ -84,19 +84,15 @@ type Machine struct {
 	Intc Interceptor
 }
 
-// NewMachine loads the program (data segment materialised) and creates one
-// hart per entry point.
+// NewMachine loads the program and creates one hart per entry point.
+// The machine's memory overlays the program's data segment (see
+// NewProgramMemory): setup copies no data bytes, and a run copies only
+// the pages it writes, so any number of machines share one program.
 func NewMachine(prog *isa.Program, seed uint64) (*Machine, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("emu: %w", err)
 	}
-	mem := NewMemory()
-	mem.WriteBytes(prog.DataBase, prog.Data)
-	return newMachine(prog, mem, seed), nil
-}
-
-// newMachine creates one hart per entry point over mem.
-func newMachine(prog *isa.Program, mem *Memory, seed uint64) *Machine {
+	mem := NewProgramMemory(prog)
 	m := &Machine{Prog: prog, Mem: mem, dec: prog.Decoded(), bt: prog.Blocks()}
 	for i, entry := range prog.Entries {
 		h := NewHart(i, entry)
@@ -104,7 +100,7 @@ func newMachine(prog *isa.Program, mem *Memory, seed uint64) *Machine {
 		m.Harts = append(m.Harts, h)
 		m.Env = append(m.Env, NewMainEnv(mem, seed+uint64(i)*0x9E37))
 	}
-	return m
+	return m, nil
 }
 
 // Running reports whether any hart is still live.

@@ -12,6 +12,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"paraverser/internal/isa"
 )
 
 // pageBits gives 4KiB pages.
@@ -23,66 +25,119 @@ type page [pageSize]byte
 // Memory is a sparse, paged, byte-addressable memory. The zero value is
 // ready to use. Memory is not safe for concurrent use; multi-hart
 // programs are interleaved deterministically on one goroutine.
+//
+// A NewProgramMemory memory overlays the program's data segment: pages
+// nothing has written are read in place from Data, which no memory ever
+// writes, so any number of memories may share one program.
 type Memory struct {
+	// base holds the segment's full pages; basePN is the page number of
+	// base[0]. seg has one slot per segment page: nil while the page is
+	// served from base, its private copy once written. A partial tail
+	// page is private from the start.
+	base   []byte
+	basePN uint64
+	seg    []*page
+	// pages holds the private pages outside the segment.
 	pages map[uint64]*page
-	// ro marks pages shared with a snapshot (Snapshot /
-	// NewMemoryFromSnapshot): a write must copy such a page into a
-	// private one first. nil until the first snapshot, so memories that
-	// never snapshot pay a single nil check per write.
-	ro map[uint64]bool
 	// One-entry page cache: accesses are heavily page-local, so most
-	// loads and stores skip the map lookup entirely. lastRO mirrors the
-	// ro status of the cached page so the write path never scribbles on
-	// a shared page through the cache.
+	// loads and stores skip the lookup entirely. lastRO marks a cached
+	// base page, so the write path never writes Data through the cache.
 	lastPN   uint64
 	lastPage *page
 	lastRO   bool
-	// gen counts every event that changes page identity or
-	// permissions: page creation, copy-on-write replacement, and
-	// Snapshot marking pages read-only. External page caches
-	// (PageCache) compare it to detect that a raw *page pointer they
-	// hold may be stale or no longer writable.
+	// gen counts every event that changes page identity: page creation
+	// and the copy of a base page on its first write. External page
+	// caches (PageCache) compare it to detect that a raw *page pointer
+	// they hold may be stale or no longer writable.
 	gen uint64
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
+func NewMemory() *Memory { return &Memory{} }
+
+// NewProgramMemory returns the initial memory of a valid program, its
+// data segment at DataBase, copying only a partial tail page.
+func NewProgramMemory(prog *isa.Program) *Memory {
+	data := prog.Data
+	full := len(data) / pageSize
+	m := &Memory{
+		base:   data[:full*pageSize],
+		basePN: prog.DataBase >> pageBits,
+		seg:    make([]*page, (len(data)+pageSize-1)/pageSize),
+	}
+	if full < len(m.seg) {
+		m.seg[full] = new(page)
+		copy(m.seg[full][:], data[full*pageSize:])
+	}
+	return m
+}
+
+// Clone returns a memory with m's contents that shares its base pages
+// and copies its private ones.
+func (m *Memory) Clone() *Memory {
+	c := &Memory{base: m.base, basePN: m.basePN, seg: make([]*page, len(m.seg)),
+		pages: make(map[uint64]*page, len(m.pages))}
+	for i, p := range m.seg {
+		if p != nil {
+			cp := *p
+			c.seg[i] = &cp
+		}
+	}
+	for pn, p := range m.pages {
+		cp := *p
+		c.pages[pn] = &cp
+	}
+	return c
 }
 
 // pageFor is the read-path lookup: nil when the page is unmapped.
 func (m *Memory) pageFor(addr uint64) *page {
+	if p := m.lastPage; p != nil && addr>>pageBits == m.lastPN {
+		return p
+	}
+	return m.lookup(addr)
+}
+
+// lookup is pageFor's miss path, out of line so the hit path inlines.
+func (m *Memory) lookup(addr uint64) *page {
 	pn := addr >> pageBits
-	if p := m.lastPage; p != nil && pn == m.lastPN {
+	if i := pn - m.basePN; i < uint64(len(m.seg)) {
+		p := m.seg[i]
+		m.lastRO = p == nil
+		if p == nil {
+			p = (*page)(m.base[i<<pageBits:])
+		}
+		m.lastPN, m.lastPage = pn, p
 		return p
 	}
 	p := m.pages[pn]
 	if p != nil {
-		m.lastPN, m.lastPage = pn, p
-		m.lastRO = m.ro != nil && m.ro[pn]
+		m.lastPN, m.lastPage, m.lastRO = pn, p, false
 	}
 	return p
 }
 
 // pageForWrite returns a writable page for addr, creating it when
-// unmapped and copying it first when shared with a snapshot.
+// unmapped and copying it first when it is still a base page.
 func (m *Memory) pageForWrite(addr uint64) *page {
 	pn := addr >> pageBits
 	if p := m.lastPage; p != nil && pn == m.lastPN && !m.lastRO {
 		return p
 	}
-	p := m.pages[pn]
-	switch {
-	case p == nil:
+	var p *page
+	if i := pn - m.basePN; i < uint64(len(m.seg)) {
+		if p = m.seg[i]; p == nil {
+			p = new(page)
+			*p = *(*page)(m.base[i<<pageBits:])
+			m.seg[i] = p
+			m.gen++
+		}
+	} else if p = m.pages[pn]; p == nil {
+		if m.pages == nil {
+			m.pages = make(map[uint64]*page)
+		}
 		p = new(page)
 		m.pages[pn] = p
-		m.gen++
-	case m.ro != nil && m.ro[pn]:
-		cp := new(page)
-		*cp = *p
-		m.pages[pn] = cp
-		delete(m.ro, pn)
-		p = cp
 		m.gen++
 	}
 	m.lastPN, m.lastPage, m.lastRO = pn, p, false
@@ -157,23 +212,6 @@ func (m *Memory) Store(addr uint64, size uint8, val uint64) error {
 	return nil
 }
 
-// WriteBytes copies raw bytes into memory page-at-a-time (used to
-// materialise data segments, which run to tens of megabytes for the SPEC
-// working sets).
-func (m *Memory) WriteBytes(addr uint64, data []byte) {
-	for len(data) > 0 {
-		off := addr & (pageSize - 1)
-		n := uint64(pageSize) - off
-		if uint64(len(data)) < n {
-			n = uint64(len(data))
-		}
-		p := m.pageForWrite(addr)
-		copy(p[off:off+n], data[:n])
-		addr += n
-		data = data[n:]
-	}
-}
-
 // ReadBytes copies n bytes out of memory page-at-a-time.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
@@ -193,23 +231,26 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	return out
 }
 
-// PagesMapped returns the number of resident 4KiB pages, for footprint
-// assertions in tests.
-func (m *Memory) PagesMapped() int { return len(m.pages) }
+// PagesMapped returns the number of resident 4KiB pages (every segment
+// page, written or not), for footprint assertions in tests.
+func (m *Memory) PagesMapped() int { return len(m.seg) + len(m.pages) }
 
 // ForEachPage calls fn for every resident page in ascending base-address
-// order with the page's 4KiB contents. The slice aliases live memory and
-// must not be retained. Deterministic iteration lets callers rebuild
-// translated images (the divergent checker's private-memory resync)
-// byte-identically run to run.
+// order with the page's 4KiB contents. The slice aliases live memory or
+// the program's Data and must be neither retained nor written.
+// Deterministic iteration lets callers digest memory byte-identically.
 func (m *Memory) ForEachPage(fn func(base uint64, data []byte)) {
-	pns := make([]uint64, 0, len(m.pages))
+	pns := make([]uint64, 0, m.PagesMapped())
 	for pn := range m.pages {
 		pns = append(pns, pn)
 	}
+	for i := range m.seg {
+		pns = append(pns, m.basePN+uint64(i))
+	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	for _, pn := range pns {
-		fn(pn<<pageBits, m.pages[pn][:])
+		base := pn << pageBits
+		fn(base, m.lookup(base)[:])
 	}
 }
 

@@ -10,14 +10,14 @@ import "encoding/binary"
 // empty cache.
 //
 // Holding a raw *page pointer across calls is only sound while the
-// page's identity and permissions are unchanged. The cache therefore
-// records the Memory's generation counter at fill time and revalidates
-// (owner pointer, generation, page number) on every access: a
-// copy-on-write replacement, a page creation, a Snapshot marking pages
-// read-only, or a Machine.Restore swapping in a fresh Memory all make
-// the entry miss. A write to a different page than the cached one
-// (cross-page write) simply replaces the entry through the
-// copy-on-write-aware slow path.
+// page's identity is unchanged. The cache therefore records the
+// Memory's generation counter at fill time and revalidates (owner
+// pointer, generation, page number) on every access: a page creation,
+// the copy of a base page (one still read in place from the program's
+// Data) on its first write, or a different Memory make the entry miss.
+// An entry a load filled with a base page is read-only, so a store
+// through it refills through the copy-on-write slow path, as does a
+// write to a different page than the cached one.
 type PageCache struct {
 	mem *Memory
 	gen uint64
@@ -58,9 +58,8 @@ func (c *PageCache) Load(m *Memory, addr uint64, size uint8) (uint64, error) {
 }
 
 // Store is semantically identical to m.Store for the legal access
-// sizes. A miss — including a hit on a page that went read-only under a
-// snapshot — refills through pageForWrite, which performs the
-// copy-on-write.
+// sizes. A miss — including a hit on a read-only base page — refills
+// through pageForWrite, which performs the copy-on-write.
 //
 //paralint:hotpath
 func (c *PageCache) Store(m *Memory, addr uint64, size uint8, val uint64) error {

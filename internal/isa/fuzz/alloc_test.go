@@ -10,16 +10,16 @@ import (
 // TestRunAllocBudget pins the per-run construction cost of a short
 // simulation: once warm, one core.Run of a 200-instruction fuzz program
 // under the lockstep differential configuration must allocate at most
-// 1 MiB. Rebuilding the cache tag arrays of one main core, its two
-// checkers and the 8 MB LLC on every run costs about 3 MiB; recycled
-// caches (cachesim.Cache.Release) leave the branch-predictor tables and
-// log arenas, about 0.5 MiB.
+// 512 KiB. Rebuilding the cache tag arrays of one main core, its two
+// checkers and the 8 MB LLC on every run costs about 3 MiB, and their
+// branch-predictor tables another 0.5 MiB; with both recycled
+// (cpu.Core.Release) the log arenas remain, about 0.15 MiB.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random")
 	}
 	const runs = 20
-	const budget = 1 << 20
+	const budget = 512 << 10
 	p := Generate(Mix(1), 200).Program()
 	ws := []core.Workload{{Name: p.Name, Prog: p}}
 	cfg := sysConfig(1, core.StrategyLockstep)

@@ -208,8 +208,10 @@ type Inst struct {
 type Program struct {
 	Name  string
 	Insts []Inst
-	// Data maps a byte offset from the data-segment base to initial
-	// contents. The emulator materialises it at DataBase.
+	// Data maps a byte offset from the data-segment base (4KiB-aligned)
+	// to initial contents. Emulator memories serve it in place and copy
+	// a page only when a run writes it, so Data must not be mutated once
+	// a machine exists for the program or a variant sharing it.
 	Data     []byte
 	DataBase uint64
 	// Entry points, one per hart. A single-threaded program has one.
@@ -368,6 +370,9 @@ func (p *Program) Validate() error {
 	}
 	if len(p.Entries) == 0 {
 		return fmt.Errorf("program %q: no entry points", p.Name)
+	}
+	if p.DataBase%4096 != 0 {
+		return fmt.Errorf("program %q: data base %#x not 4KiB-aligned", p.Name, p.DataBase)
 	}
 	for _, e := range p.Entries {
 		if e >= uint64(len(p.Insts)) {

@@ -148,6 +148,7 @@ func TestProgramValidate(t *testing.T) {
 		"bad size":     {Name: "s", Insts: []Inst{{Op: OpLD, Size: 3}}, Entries: []uint64{0}},
 		"branch range": {Name: "b", Insts: []Inst{{Op: OpBEQ, Imm: 10}}, Entries: []uint64{0}},
 		"bad reg":      {Name: "g", Insts: []Inst{{Op: OpADD, Rd: 40}}, Entries: []uint64{0}},
+		"data align":   {Name: "d", Insts: []Inst{{Op: OpHALT}}, Entries: []uint64{0}, DataBase: DefaultDataBase + 8},
 	}
 	for name, p := range cases {
 		if err := p.Validate(); err == nil {
