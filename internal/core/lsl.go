@@ -31,11 +31,14 @@ const (
 	EntryNonRepeat // RAND/CYCLE value, payload only
 )
 
-// MemRec is one address/size/data triple inside an entry.
+// MemRec is one address/size/data triple inside an entry. The two
+// one-byte fields sit together after the words, so a record packs into
+// 24 bytes: log arenas, retained probation segments and SpecCache
+// recordings all hold slices of them.
 type MemRec struct {
 	Addr uint64
-	Size uint8
 	Data uint64
+	Size uint8
 	Load bool
 }
 

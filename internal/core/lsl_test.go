@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"paraverser/internal/emu"
 	"paraverser/internal/isa"
@@ -243,5 +244,13 @@ func TestBoundaryReasonStrings(t *testing.T) {
 		if r.String() == "invalid" {
 			t.Errorf("reason %d has no name", r)
 		}
+	}
+}
+
+// TestMemRecSize pins MemRec's packing: log arenas, retained probation
+// segments and SpecCache recordings all hold slices of it.
+func TestMemRecSize(t *testing.T) {
+	if got := unsafe.Sizeof(MemRec{}); got != 24 {
+		t.Errorf("MemRec is %d bytes, want 24", got)
 	}
 }

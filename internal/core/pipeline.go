@@ -42,7 +42,9 @@ package core
 // synchronous dispatch: re-replay, forensics and quarantine decisions
 // consume a check's verdict immediately and reshape the pool, and
 // injectors carry per-run mutable state, so neither composes with
-// deferred joins.
+// deferred joins. Such a run may still replay the main core's stream
+// from the SpecCache (spec.go); its checks then run for real on the
+// synchronous path, and only pipelined replays synthesise verdicts.
 
 import (
 	"math"

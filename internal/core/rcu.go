@@ -56,11 +56,17 @@ func (r *RCU) Checkpoint(st *emu.ArchState) emu.ArchState { return *st }
 // Hardware compares register bits, so FP registers compare bitwise: two
 // identical NaNs match, +0 and -0 do not.
 func (r *RCU) Compare(end *emu.ArchState, got *emu.ArchState) bool {
-	if end.PC != got.PC || end.X != got.X {
+	return archEqual(end, got)
+}
+
+// archEqual is the RCU's bitwise state comparison, shared with the
+// SpecCache's continuity check (spec.go).
+func archEqual(a, b *emu.ArchState) bool {
+	if a.PC != b.PC || a.X != b.X {
 		return false
 	}
-	for i := range end.F {
-		if math.Float64bits(end.F[i]) != math.Float64bits(got.F[i]) {
+	for i := range a.F {
+		if math.Float64bits(a.F[i]) != math.Float64bits(b.F[i]) {
 			return false
 		}
 	}

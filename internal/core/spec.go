@@ -14,13 +14,15 @@ package core
 // the functional stream but cannot perturb it.
 //
 // A recording lane runs the ordinary runSegment loop and taps every
-// committed effect: its PC, its outcome flags and its log entry
-// (record). The tap is sealed into an immutable recSeg at each segment
-// close (seal). Reconstruction from a recording is exact for every
-// field the timing models read (cpu.Core.Consume and the checker-side
-// consume use only PC, Inst, Class, Dec, NextPC, Taken, Halted,
-// Mem[:NMem] addresses/kinds, WroteInt, WroteFP), so a recording made
-// under one configuration serves any other with the same stream key.
+// committed effect: its outcome flags, its branch target when taken,
+// its register result and its memory operations (record). The tap is
+// sealed into an immutable recSeg at each segment close (seal).
+// Reconstruction from a recording is exact for every Effect field the
+// emulator sets (PC, Inst, Class, Dec, NextPC, Taken, Halted, WroteInt,
+// WroteFP, Value, NonRepeat/NonRepeatVal and Mem[:NMem]), so a
+// recording made under one configuration serves any other with the
+// same stream key, and a replay lane rebuilds its own architectural
+// state — PC and register file — from the stream as it goes.
 //
 // A replay run RE-CUTS its own segment boundaries: the same runSegment
 // loop runs unmodified (checker acquisition, LSPU packing, counters,
@@ -33,18 +35,32 @@ package core
 // across re-cut boundaries because consume order is commit order,
 // which is stream order.
 //
-// Safety: a checked recording is published only once every segment's
-// checker verdict has landed clean (pendingCheck.recInto), which is what
-// lets replay runs synthesise clean verdicts. Every recorded segment
-// carries its entry architectural state, and a replay enters a segment
-// only if that state extends the committed predecessor bit-for-bit; on
-// divergence the stream is evicted and the whole system reruns without
-// the cache (ErrSpecDiverged), so a stream defect can cost time, never
-// correctness.
+// Because the replay lane's state is exact, its segments carry the
+// real Start/End checkpoints, and a checker can verify them for real.
+// Two dispatch paths use that differently. A pipelined (fault-free
+// lockstep) replay synthesises clean verdicts: a checked recording is
+// published only once every segment's checker verdict has landed clean
+// (pendingCheck.recInto). A synchronous lockstep replay — a run with a
+// checker-side fault injector or the recovery pipeline — verifies every
+// segment with CheckSegment under the checker's injector, exactly as a
+// live run would, and never records: a checker fault cannot change the
+// main core's stream, so the trial only takes its main-side effects
+// from the recording.
+//
+// Safety: every recorded segment carries its entry architectural state,
+// and a replay enters a segment only if its reconstructed state equals
+// that entry state bit for bit (the same comparison the RCU applies);
+// at the stream's end it must equal the recorded final state. The check
+// thereby validates the recorded branch targets and register results
+// too. On divergence the stream is evicted and the system reruns
+// without the cache (ErrSpecDiverged), so a stream defect can cost
+// time, never correctness.
 
 import (
 	"errors"
+	"math"
 	"sync"
+	"unsafe"
 
 	"paraverser/internal/cpu"
 	"paraverser/internal/emu"
@@ -60,13 +76,20 @@ var ErrSpecDiverged = errors.New("core: replayed segment diverged from committed
 // DefaultSpecCacheBytes bounds a SpecCache's recorded-stream memory.
 const DefaultSpecCacheBytes = 1 << 30
 
-// Per-instruction outcome flags in recSeg.flags.
+// Per-instruction bits in recSeg.flags: the outcome flags, the
+// non-repeat marker, the instruction's memory-op count in two bits
+// (emu.MaxMemOps is 2), and specValOp, which marks a register result
+// equal to the instruction's first memory record's data (a load's
+// value, a RAND result) and therefore not stored in vals.
 const (
-	specTaken    uint8 = 1 << 0
-	specWroteInt uint8 = 1 << 1
-	specWroteFP  uint8 = 1 << 2
-	specHasEntry uint8 = 1 << 3
-	specHalted   uint8 = 1 << 4
+	specTaken     uint8 = 1 << 0
+	specWroteInt  uint8 = 1 << 1
+	specWroteFP   uint8 = 1 << 2
+	specHalted    uint8 = 1 << 3
+	specNonRepeat uint8 = 1 << 4
+	specOpsShift        = 5
+	specOpsMask   uint8 = 3 << specOpsShift
+	specValOp     uint8 = 1 << 7
 )
 
 // streamKey identifies one lane's functional stream: exactly the
@@ -76,6 +99,9 @@ const (
 type streamKey struct {
 	prog *isa.Program
 	hart int
+	// seed is zero for a program without RAND: the seed reaches the
+	// emulator only through MainEnv.Rand, so such a program's stream is
+	// shared across seeds.
 	seed uint64
 	// maxInsts and warmupInsts bound the stream's length (the budget is
 	// their sum); interrupts and checkpoints have no architectural
@@ -85,34 +111,44 @@ type streamKey struct {
 }
 
 // recSeg is one recorded segment: everything needed to reconstruct the
-// committed effect sequence.
+// committed effect sequence and the architectural state along it.
 type recSeg struct {
+	// start is the architectural state before the segment's first
+	// instruction; its PC is that instruction's PC.
 	start emu.ArchState
-	end   emu.ArchState
-	// pcs[i] is instruction i's PC; flags[i] its outcome bits. entries
-	// holds the log entries in commit order, with exact-size private
-	// backing (never aliased by later segments).
-	pcs     []uint32
+	// flags[i] holds instruction i's bits (specTaken...). The other
+	// slices are consumed in commit order: targets holds the NextPC of
+	// each taken instruction (every other instruction falls through to
+	// PC+1, the only NextPC the emulator sets otherwise), vals the
+	// register result of each instruction that wrote one, unless marked
+	// specValOp, and ops the memory records of every instruction, flat
+	// (a non-repeat instruction's single record carries its value). All
+	// four have exact-size private backing, never aliased by later
+	// segments.
 	flags   []uint8
-	entries []Entry
+	targets []uint32
+	vals    []uint64
+	ops     []MemRec
 	// verdict is the checker outcome recorded at join time. Publication
-	// requires every verdict clean, which is what lets replay runs
-	// synthesise clean verdicts instead of re-verifying.
+	// requires every verdict clean, which is what lets pipelined replay
+	// runs synthesise clean verdicts instead of re-verifying.
 	verdict CheckResult
 }
 
+// memBytes is the segment's retained size: its header plus the four
+// slices' contents.
 func (rs *recSeg) memBytes() int {
-	n := 4*len(rs.pcs) + len(rs.flags) + 40*len(rs.entries) + 256
-	for i := range rs.entries {
-		n += 24 * len(rs.entries[i].Ops)
-	}
-	return n
+	return int(unsafe.Sizeof(*rs)) + len(rs.flags) + 4*len(rs.targets) +
+		8*len(rs.vals) + int(unsafe.Sizeof(MemRec{}))*len(rs.ops)
 }
 
 // recStream is every recorded segment of one functional stream, plus
 // the per-main-geometry micro traces recorded over it.
 type recStream struct {
-	segs     []*recSeg
+	segs []*recSeg
+	// end is the architectural state after the stream's last
+	// instruction, which a replay must reach exactly.
+	end      emu.ArchState
 	complete bool
 	// recording marks an in-flight exclusive recording claim.
 	recording bool
@@ -131,6 +167,8 @@ type SpecCache struct {
 	streams  map[streamKey]*recStream
 	bytes    int
 	maxBytes int
+	// seeded memoises, per program, whether it executes RAND (seedFor).
+	seeded map[*isa.Program]bool
 
 	stats obs.SpecStats
 
@@ -144,7 +182,30 @@ func NewSpecCache() *SpecCache {
 	return &SpecCache{
 		streams:  make(map[streamKey]*recStream),
 		maxBytes: DefaultSpecCacheBytes,
+		seeded:   make(map[*isa.Program]bool),
 	}
+}
+
+// seedFor returns the seed component of prog's stream keys: seed for a
+// program containing RAND, zero otherwise (streamKey.seed). The scan
+// runs once per program.
+func (c *SpecCache) seedFor(prog *isa.Program, seed uint64) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	uses, ok := c.seeded[prog]
+	if !ok {
+		for _, in := range prog.Insts {
+			if in.Op == isa.OpRAND {
+				uses = true
+				break
+			}
+		}
+		c.seeded[prog] = uses
+	}
+	if !uses {
+		return 0
+	}
+	return seed
 }
 
 // SetLimit caps recorded-stream memory: once exceeded, new recordings
@@ -208,7 +269,7 @@ func (c *SpecCache) releaseStream(key streamKey) {
 }
 
 // publishStream completes a recording, making the stream replayable.
-func (c *SpecCache) publishStream(key streamKey, segs []*recSeg) {
+func (c *SpecCache) publishStream(key streamKey, segs []*recSeg, end emu.ArchState) {
 	n := 0
 	for _, rs := range segs {
 		n += rs.memBytes()
@@ -220,6 +281,7 @@ func (c *SpecCache) publishStream(key streamKey, segs []*recSeg) {
 		return
 	}
 	st.segs = segs
+	st.end = end
 	st.bytes = n
 	st.recording = false
 	st.complete = true
@@ -291,21 +353,24 @@ type laneSpec struct {
 	// Replay state: cur walks the recorded stream in place of the
 	// emulator (specNext); segCur is cur's value at the current
 	// segment's start, snapshotted so a pending check can re-walk
-	// exactly the effects the segment consumed. prevEnd is the
-	// committed architectural boundary: every recorded segment entered
-	// must start exactly here.
+	// exactly the effects the segment consumed. state is the lane's
+	// architectural state, advanced by every replayed effect: it stands
+	// in for the never-stepped hart's, supplies the segments' Start/End
+	// checkpoints, and must equal every recorded segment's entry state.
 	cur       specCursor
 	segCur    specCursor
-	prevEnd   emu.ArchState
+	state     emu.ArchState
 	delivered int
 
-	// Record state: the tap's scratch (pcs, flags, ents, ops), reused
-	// across segments and sealed into segs at every segment close.
-	pcs   []uint32
-	flags []uint8
-	ents  []Entry
-	ops   []MemRec
-	segs  []*recSeg
+	// Record state: the tap's scratch (flags, targets, vals, ops),
+	// reused across segments and sealed into segs at every segment
+	// close; end is the hart's state once the whole stream has run.
+	flags   []uint8
+	targets []uint32
+	vals    []uint64
+	ops     []MemRec
+	segs    []*recSeg
+	end     emu.ArchState
 
 	// Micro-trace recording in flight (nil when not claimed).
 	microRec  *cpu.MicroTrace
@@ -313,13 +378,14 @@ type laneSpec struct {
 }
 
 // record is the recording lane's per-effect tap on the live loop: the
-// effect's PC, its outcome flags and, when it has one, its log entry.
-// Entries are captured on unchecked segments too: they carry the
-// memory operations replay reconstructs effects from.
+// effect's flags, its target when taken, its register result and its
+// memory operations. Memory operations are captured on unchecked
+// segments too: replay rebuilds every effect from them.
 func (sp *laneSpec) record(eff *emu.Effect) {
 	fl := uint8(0)
 	if eff.Taken {
 		fl |= specTaken
+		sp.targets = append(sp.targets, uint32(eff.NextPC))
 	}
 	if eff.WroteInt {
 		fl |= specWroteInt
@@ -330,36 +396,41 @@ func (sp *laneSpec) record(eff *emu.Effect) {
 	if eff.Halted {
 		fl |= specHalted
 	}
-	if entry, ok := EntryFromEffectArena(eff, &sp.ops); ok {
-		fl |= specHasEntry
-		sp.ents = append(sp.ents, entry)
+	o := len(sp.ops)
+	if eff.NonRepeat {
+		fl |= specNonRepeat | 1<<specOpsShift
+		sp.ops = append(sp.ops, MemRec{Data: eff.NonRepeatVal})
+	} else {
+		fl |= uint8(eff.NMem) << specOpsShift
+		for i := 0; i < eff.NMem; i++ {
+			m := &eff.Mem[i]
+			sp.ops = append(sp.ops, MemRec{Addr: m.Addr, Data: m.Data, Size: m.Size, Load: m.Kind == emu.MemLoad})
+		}
 	}
-	sp.pcs = append(sp.pcs, uint32(eff.PC))
+	if eff.WroteInt || eff.WroteFP {
+		if len(sp.ops) > o && sp.ops[o].Data == eff.Value {
+			fl |= specValOp
+		} else {
+			sp.vals = append(sp.vals, eff.Value)
+		}
+	}
 	sp.flags = append(sp.flags, fl)
 }
 
-// seal closes the tap's current segment, spanning start to end, into
-// an immutable recSeg with exact-size private copies of the scratch,
-// which the next segment reuses.
-func (sp *laneSpec) seal(start, end emu.ArchState) {
-	ops := append([]MemRec(nil), sp.ops...)
-	ents := make([]Entry, len(sp.ents))
-	o := 0
-	for i := range sp.ents {
-		n := len(sp.ents[i].Ops)
-		ents[i] = Entry{Kind: sp.ents[i].Kind, Ops: ops[o : o+n : o+n]}
-		o += n
-	}
+// seal closes the tap's current segment, entered at start, into an
+// immutable recSeg with exact-size private copies of the scratch, which
+// the next segment reuses.
+func (sp *laneSpec) seal(start emu.ArchState) {
 	sp.segs = append(sp.segs, &recSeg{
 		start:   start,
-		end:     end,
-		pcs:     append([]uint32(nil), sp.pcs...),
 		flags:   append([]uint8(nil), sp.flags...),
-		entries: ents,
+		targets: append([]uint32(nil), sp.targets...),
+		vals:    append([]uint64(nil), sp.vals...),
+		ops:     append([]MemRec(nil), sp.ops...),
 	})
-	sp.pcs = sp.pcs[:0]
 	sp.flags = sp.flags[:0]
-	sp.ents = sp.ents[:0]
+	sp.targets = sp.targets[:0]
+	sp.vals = sp.vals[:0]
 	sp.ops = sp.ops[:0]
 }
 
@@ -367,34 +438,38 @@ func (sp *laneSpec) seal(start, end emu.ArchState) {
 // replay a recorded stream, and additionally record a fresh one.
 //
 // Replay requires only that the lane's instruction sequence is a pure
-// function of the streamKey inputs. Interceptors mutate execution;
-// recovery can empty the checker pool mid-run and consumes verdicts
-// synchronously; divergent mode keeps a private memory image in
-// lockstep with verification; multi-hart processes interleave through
-// shared memory under timing control; and a checked replay synthesises
-// clean verdicts, which needs the deferred-join dispatch path. Boundary
-// shape does NOT matter for replay — the live runSegment loop re-cuts
-// boundaries over the cursor, so opportunistic mode, sampling and
-// non-uniform pool capacities all replay fine.
+// function of the streamKey inputs, and that its checks, if any, either
+// may be synthesised or run for real. A main-side interceptor mutates
+// the main's own execution (common-mode faults), divergent mode keeps
+// a private memory image built from the live main memory, and
+// multi-hart processes interleave through shared memory under timing
+// control: those lanes run live. Checker-side faults and the recovery
+// pipeline cannot change the main's stream — checkers replay its log —
+// so a lockstep lane with either replays too, on the synchronous
+// dispatch, where every segment, re-replay, forensic round and
+// probation shadow check runs CheckSegment for real under the checker's
+// injector. The other non-pipelined strategies (chunk replay, relaxed
+// start) run live. Boundary shape does NOT matter for replay — the
+// live runSegment loop re-cuts boundaries over the cursor, so
+// opportunistic mode, sampling and non-uniform pool capacities all
+// replay fine.
 //
-// Recording is stricter: checked recorders need full coverage and a
-// uniform pool capacity. Soundness needs only the first — every segment
-// of the stream must be verified before publication. The second keeps
-// the set of recording runs, and with it the cache counters, as it was
-// when recordings had to predict segment boundaries ahead of timing.
+// Recording is stricter: checked recorders need the pipelined dispatch
+// (no injector, no recovery), full coverage and a uniform pool
+// capacity. Soundness needs the first two — every segment of the
+// stream must be verified fault-free before publication. The third
+// keeps the set of recording runs, and with it the cache counters, as
+// it was when recordings had to predict segment boundaries ahead of
+// timing.
 func (s *System) laneSpecEligible(l *lane) (replay, record bool) {
-	if s.cfg.MainInterceptor != nil || s.cfg.CheckerInterceptor != nil ||
-		s.cfg.Recovery.Enabled {
-		return false, false
-	}
-	if len(l.proc.mach.Harts) != 1 || l.div != nil {
+	if s.cfg.MainInterceptor != nil || len(l.proc.mach.Harts) != 1 || l.div != nil {
 		return false, false
 	}
 	if !s.checking() {
 		return true, true
 	}
 	if !s.pipelined {
-		return false, false
+		return s.cfg.ResolvedStrategy() == StrategyLockstep, false
 	}
 	record = s.cfg.Mode == ModeFullCoverage
 	if record {
@@ -415,7 +490,7 @@ func (s *System) streamKeyFor(l *lane) streamKey {
 	return streamKey{
 		prog:        l.proc.w.Prog,
 		hart:        l.hart,
-		seed:        s.cfg.Seed,
+		seed:        s.cfg.Spec.seedFor(l.proc.w.Prog, s.cfg.Seed),
 		maxInsts:    l.proc.w.MaxInsts,
 		warmupInsts: l.proc.w.WarmupInsts,
 	}
@@ -439,7 +514,7 @@ func (s *System) initSpec() {
 		sp := &laneSpec{mode: mode, key: key, stream: st, checked: s.checking()}
 		if mode == claimReplay {
 			sp.cur = specCursor{dec: l.proc.w.Prog.Decoded(), segs: st.segs}
-			sp.prevEnd = l.proc.mach.Harts[l.hart].State
+			sp.state = l.proc.mach.Harts[l.hart].State
 		}
 		// Micro-trace claim for this lane's main-core geometry. Traces
 		// exist only on complete streams, so a record-mode lane can only
@@ -500,10 +575,11 @@ func (s *System) abortSpec() {
 // publishSpec publishes completed recordings at collection time, after
 // every pending check has joined (verdicts are recorded at joins). A
 // checked recording is published only if every verdict came back clean:
-// replay runs synthesise clean verdicts instead of re-verifying, which
-// is sound precisely because unclean streams never enter the cache
-// (eligibility already excludes every fault-injection path, so a dirty
-// verdict here means a simulator defect — degrade to live runs).
+// pipelined replay runs synthesise clean verdicts instead of
+// re-verifying, which is sound precisely because unclean streams never
+// enter the cache. Only pipelined runs record, and those carry no
+// injector, so a dirty verdict here means a simulator defect — degrade
+// to live runs.
 func (s *System) publishSpec() {
 	c := s.cfg.Spec
 	for _, l := range s.lanes {
@@ -522,7 +598,7 @@ func (s *System) publishSpec() {
 				}
 			}
 			if clean {
-				c.publishStream(sp.key, sp.segs)
+				c.publishStream(sp.key, sp.segs, sp.end)
 			} else {
 				c.releaseStream(sp.key)
 			}
@@ -535,34 +611,43 @@ func (s *System) publishSpec() {
 }
 
 // effIter reconstructs the committed effect sequence from a recorded
-// segment. Reconstruction is bit-equivalent, for every field the
-// timing consumers read, to the effects the live emulator produced:
-// PC/Inst/Class/Dec come from the decoded program at the recorded PC,
-// NextPC is the next recorded PC (the end-state PC for the last
-// instruction — exact because the emulator sets State.PC = eff.NextPC
-// after every step), Taken/WroteInt/WroteFP/Halted come from the
-// recorded flags, and the memory operations come from the recorded log
-// entry.
+// segment. Reconstruction is bit-equivalent to the effects the live
+// emulator produced, for every field the emulator sets: PC/Inst/Class/
+// Dec come from the decoded program at the tracked PC (the segment's
+// entry PC, then each effect's NextPC), NextPC is the recorded target
+// of a taken instruction and PC+1 otherwise, Taken/WroteInt/WroteFP/
+// Halted/NonRepeat come from the recorded flags, Value from the
+// recorded results (or the first memory record, under specValOp), and
+// the memory operations from the flat records.
 type effIter struct {
 	dec []isa.DecInst
 	rs  *recSeg
-	i   int
-	ei  int
+	pc  uint64
+	// i indexes flags; ti, vi and oi index targets, vals and ops.
+	i, ti, vi, oi int
+}
+
+func newEffIter(dec []isa.DecInst, rs *recSeg) effIter {
+	return effIter{dec: dec, rs: rs, pc: rs.start.PC}
 }
 
 func (it *effIter) next(eff *emu.Effect) bool {
 	rs := it.rs
-	if it.i >= len(rs.pcs) {
+	i := it.i
+	if i >= len(rs.flags) {
 		return false
 	}
-	pc := uint64(rs.pcs[it.i])
-	fl := rs.flags[it.i]
+	// The cursor fields live in memory across calls; working on locals
+	// and storing them once keeps the per-instruction dependency chain
+	// short.
+	pc, oi := it.pc, it.oi
+	fl := rs.flags[i]
 	d := &it.dec[pc]
 	// Field-wise assignment instead of a struct literal: zeroing the
 	// whole Effect (dominated by its Mem array) per instruction is
 	// measurable on the replay hot path. Every field a consumer guards
-	// reads behind (NMem, NonRepeat) is reset here; stale Mem/
-	// NonRepeatVal bytes beyond those guards are never read.
+	// reads behind (NMem, NonRepeat) is reset here; stale Mem bytes
+	// beyond NMem are never read.
 	eff.PC = pc
 	eff.Inst = d.Inst
 	eff.Class = d.Class
@@ -571,32 +656,43 @@ func (it *effIter) next(eff *emu.Effect) bool {
 	eff.WroteInt = fl&specWroteInt != 0
 	eff.WroteFP = fl&specWroteFP != 0
 	eff.Halted = fl&specHalted != 0
-	eff.NonRepeat = false
-	eff.NMem = 0
-	if it.i+1 < len(rs.pcs) {
-		eff.NextPC = uint64(rs.pcs[it.i+1])
-	} else {
-		eff.NextPC = rs.end.PC
+	eff.NonRepeat = fl&specNonRepeat != 0
+	eff.NonRepeatVal = 0
+	next := pc + 1
+	if fl&specTaken != 0 {
+		next = uint64(rs.targets[it.ti])
+		it.ti++
 	}
-	if fl&specHasEntry != 0 {
-		e := &rs.entries[it.ei]
-		it.ei++
-		if e.Kind == EntryNonRepeat {
-			eff.NonRepeat = true
-			eff.NonRepeatVal = e.Ops[0].Data
+	eff.NextPC = next
+	var v uint64
+	if fl&specValOp != 0 {
+		v = rs.ops[oi].Data
+	} else if fl&(specWroteInt|specWroteFP) != 0 {
+		v = rs.vals[it.vi]
+		it.vi++
+	}
+	eff.Value = v
+	eff.NMem = 0
+	n := int(fl&specOpsMask) >> specOpsShift
+	if n != 0 {
+		if fl&specNonRepeat != 0 {
+			eff.NonRepeatVal = rs.ops[oi].Data
 		} else {
-			for j := range e.Ops {
-				op := &e.Ops[j]
+			ops := rs.ops[oi : oi+n]
+			for j := range ops {
+				op := &ops[j]
 				kind := emu.MemStore
 				if op.Load {
 					kind = emu.MemLoad
 				}
 				eff.Mem[j] = emu.MemOp{Kind: kind, Addr: op.Addr, Size: op.Size, Data: op.Data}
 			}
-			eff.NMem = len(e.Ops)
+			eff.NMem = n
 		}
 	}
-	it.i++
+	it.oi = oi + n
+	it.pc = next
+	it.i = i + 1
 	return true
 }
 
@@ -614,20 +710,26 @@ type specCursor struct {
 	it   effIter
 }
 
+// segDone reports that the cursor has left its current recorded
+// segment (or has not entered one yet).
+func (cu *specCursor) segDone() bool {
+	return cu.it.rs == nil || cu.it.i >= len(cu.it.rs.flags)
+}
+
 // done reports stream exhaustion.
 func (cu *specCursor) done() bool {
-	return (cu.it.rs == nil || cu.it.i >= len(cu.it.rs.pcs)) && cu.k >= len(cu.segs)
+	return cu.segDone() && cu.k >= len(cu.segs)
 }
 
 // next reconstructs the next committed effect, entering the next
 // recorded segment as needed. Hook-free and continuity-blind: the
 // lane-side step with divergence checks is System.specNext.
 func (cu *specCursor) next(eff *emu.Effect) bool {
-	for cu.it.rs == nil || cu.it.i >= len(cu.it.rs.pcs) {
+	for cu.segDone() {
 		if cu.k >= len(cu.segs) {
 			return false
 		}
-		cu.it = effIter{dec: cu.dec, rs: cu.segs[cu.k]}
+		cu.it = newEffIter(cu.dec, cu.segs[cu.k])
 		cu.k++
 	}
 	return cu.it.next(eff)
@@ -635,15 +737,17 @@ func (cu *specCursor) next(eff *emu.Effect) bool {
 
 // specNext is runSegment's functional step on a replay lane: it
 // reconstructs the next committed effect from the recorded stream
-// instead of stepping the emulator. Entering a recorded segment fires
-// the continuity check — its entry state must extend the committed
-// predecessor bit-for-bit — and the forced-divergence test hook. A
-// broken stream is evicted and the run ends in ErrSpecDiverged, which
-// the Run wrapper turns into a rerun without the cache.
+// instead of stepping the emulator, and applies it to the lane's
+// architectural state exactly as the emulator would. Entering a
+// recorded segment fires the continuity check — the reconstructed
+// state must equal the segment's entry state bit for bit — and the
+// forced-divergence test hook. A broken stream is evicted and the run
+// ends in ErrSpecDiverged, which the Run wrapper turns into a rerun
+// without the cache.
 func (s *System) specNext(l *lane, eff *emu.Effect) (bool, error) {
 	sp := l.spec
 	cu := &sp.cur
-	for cu.it.rs == nil || cu.it.i >= len(cu.it.rs.pcs) {
+	for cu.segDone() {
 		if cu.k >= len(cu.segs) {
 			return false, nil
 		}
@@ -652,13 +756,22 @@ func (s *System) specNext(l *lane, eff *emu.Effect) (bool, error) {
 			hook(l.idx, sp.delivered, rs)
 		}
 		sp.delivered++
-		if rs.start != sp.prevEnd {
+		if !archEqual(&rs.start, &sp.state) {
 			return false, s.specDiverged(l)
 		}
-		sp.prevEnd = rs.end
 		s.cfg.Spec.stats.SegmentsReplayed.Add(1)
-		cu.it = effIter{dec: cu.dec, rs: rs}
+		cu.it = newEffIter(cu.dec, rs)
 		cu.k++
 	}
-	return cu.it.next(eff), nil
+	cu.it.next(eff)
+	st := &sp.state
+	if eff.WroteInt {
+		if rd := eff.Inst.Rd; rd != isa.Zero {
+			st.X[rd] = eff.Value
+		}
+	} else if eff.WroteFP {
+		st.F[eff.Inst.Rd] = math.Float64frombits(eff.Value)
+	}
+	st.PC = eff.NextPC
+	return true, nil
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
+	"unsafe"
 
+	"paraverser/internal/asm"
 	"paraverser/internal/cpu"
 	"paraverser/internal/emu"
 	"paraverser/internal/isa"
@@ -314,5 +317,323 @@ func TestCheckSegmentZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("CheckSegment allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// nanProgram keeps a NaN in f3 for its whole run and stores a NaN
+// derived from it every iteration.
+func nanProgram(iters int64) *isa.Program {
+	b := asm.New("nan")
+	buf := b.Reserve(4 << 10)
+	b.Li(5, int64(isa.DefaultDataBase+buf))
+	b.Li(6, 0x7ff8_0000_0000_0001) // a quiet NaN with a payload
+	b.Fmvif(3, 6)
+	b.Li(20, 0)
+	b.Li(21, iters)
+	b.Label("loop")
+	b.Fadd(4, 3, 3)
+	b.Fst(4, 5, 0)
+	b.Addi(20, 20, 1)
+	b.Blt(20, 21, "loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestSpecReplayNaNRegister pins the continuity check's comparison: it
+// is the RCU's bitwise one, so a stream whose segment joints hold a NaN
+// in an FP register replays without an abort.
+func TestSpecReplayNaNRegister(t *testing.T) {
+	ws := []Workload{{Name: "nan", Prog: nanProgram(2000)}}
+	cfg := DefaultConfig(a510Checkers(2, 2.0))
+	cfg.InterruptIntervalInsts = 500
+	base := runSpec(t, cfg, ws)
+
+	cache := NewSpecCache()
+	cfg.Spec = cache
+	for i := 0; i < 2; i++ {
+		if got := runSpec(t, cfg, ws); got != base {
+			t.Fatalf("cached run %d diverged from the run without a cache", i)
+		}
+	}
+	st := cache.Stats()
+	if st.SpecAborts != 0 {
+		t.Errorf("NaN-holding stream raised %d aborts", st.SpecAborts)
+	}
+	if st.StreamsReplayed == 0 || st.SegmentsReplayed < 2 {
+		t.Errorf("replayed %d streams, %d segments; want the second run replayed past a joint", st.StreamsReplayed, st.SegmentsReplayed)
+	}
+}
+
+// countingInterceptor counts every result it sees and passes it through.
+type countingInterceptor struct{ calls int }
+
+func (c *countingInterceptor) Result(_ isa.Inst, _ isa.Class, _ bool, v uint64) uint64 {
+	c.calls++
+	return v
+}
+
+func (c *countingInterceptor) Address(_ isa.Inst, addr uint64) uint64 { return addr }
+
+// TestSpecDivergedInterceptorRunReturns pins the fallback rule for runs
+// with an injector: a replay that fails the continuity check has already
+// advanced the injector, so Run must hand ErrSpecDiverged back instead of
+// rerunning with it. A rerun with a fresh injector and no cache then
+// matches the live run, call for call.
+func TestSpecDivergedInterceptorRunReturns(t *testing.T) {
+	ws := []Workload{{Name: "m0", Prog: mixedProgram(6000)}}
+	withCounter := func(spec *SpecCache) (Config, *countingInterceptor) {
+		cfg := DefaultConfig(a510Checkers(2, 2.0))
+		cfg.InterruptIntervalInsts = 500
+		intc := &countingInterceptor{}
+		cfg.CheckerInterceptor = func(_, _ int) emu.Interceptor { return intc }
+		cfg.Spec = spec
+		return cfg, intc
+	}
+	live, liveIntc := withCounter(nil)
+	base := runSpec(t, live, ws)
+
+	cache := NewSpecCache()
+	prime := DefaultConfig()
+	prime.Spec = cache
+	runSpec(t, prime, ws)
+	cache.testCorrupt = func(_, seq int, rs *recSeg) {
+		if seq == 3 {
+			rs.start.X[5] ^= 1
+		}
+	}
+	cfg, intc := withCounter(cache)
+	if _, err := Run(cfg, ws); !errors.Is(err, ErrSpecDiverged) {
+		t.Fatalf("Run with an interceptor returned %v, want ErrSpecDiverged", err)
+	}
+	if intc.calls == 0 || intc.calls >= liveIntc.calls {
+		t.Fatalf("aborted run made %d interceptor calls, want some but fewer than the live run's %d", intc.calls, liveIntc.calls)
+	}
+	if st := cache.Stats(); st.SpecAborts != 1 {
+		t.Errorf("counted %d aborts, want 1", st.SpecAborts)
+	}
+
+	rerun, fresh := withCounter(nil)
+	if got := runSpec(t, rerun, ws); got != base {
+		t.Error("fresh live rerun diverged from the live run")
+	}
+	if fresh.calls != liveIntc.calls {
+		t.Errorf("fresh rerun made %d interceptor calls, live run %d", fresh.calls, liveIntc.calls)
+	}
+}
+
+// runPhasedFault runs cfg over w with checker faults that follow the
+// lane's recovery history: checker 0 is faulty until its first
+// quarantine; the pool is then healthy for three segments, so checker
+// 1 verifies clean probation material; then checker 1 is faulty for
+// good. Its quarantine empties the active pool while checker 0 cools
+// down, so the lane degrades until checker 0, healed, shadow-checks its
+// way back in.
+func runPhasedFault(t *testing.T, cfg Config, w Workload) *Result {
+	t.Helper()
+	phase, mark := 0, 0
+	intc := &stuckAtInterceptor{bit: 3}
+	cfg.CheckerInterceptor = func(_, id int) emu.Interceptor {
+		if (phase == 0 && id == 0) || (phase == 2 && id == 1) {
+			return intc
+		}
+		return nil
+	}
+	s, err := NewSystem(cfg, []Workload{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Spec != nil {
+		s.initSpec()
+	}
+	for l := s.nextLane(); l != nil; l = s.nextLane() {
+		if err := s.runSegment(l); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case phase == 0 && l.res.Recovery.Quarantines > 0:
+			phase, mark = 1, l.res.Segments
+		case phase == 1 && l.res.Segments >= mark+3:
+			phase = 2
+		}
+	}
+	res := s.collect()
+	s.release()
+	return res
+}
+
+// TestSpecFaultedRecoveryReplay is the determinism contract of fault
+// trials on a shared cache: a checker-faulted run with the recovery
+// pipeline live replays the main stream from an unchecked priming
+// recording, checks every segment for real, and must render
+// byte-identically to the same run live, each with a fresh injector.
+// Full-coverage and opportunistic boundaries both differ from the
+// priming run's, and the phased case quarantines, degrades and
+// readmits. None of the faulted runs may record.
+func TestSpecFaultedRecoveryReplay(t *testing.T) {
+	w := Workload{Name: "mixed", Prog: mixedProgram(20000)}
+	cache := NewSpecCache()
+	prime := DefaultConfig()
+	prime.Spec = cache
+	runSpec(t, prime, []Workload{w})
+	if st := cache.Stats(); st.StreamsRecorded != 1 {
+		t.Fatalf("priming recorded %d streams, want 1", st.StreamsRecorded)
+	}
+
+	persistent := func(cfg Config, spec *SpecCache) *Result {
+		withCheckerFault(&cfg, 0, 3)
+		cfg.Spec = spec
+		res, err := Run(cfg, []Workload{w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	phased := func(cfg Config, spec *SpecCache) *Result {
+		cfg.Spec = spec
+		return runPhasedFault(t, cfg, w)
+	}
+	full := DefaultConfig(a510Checkers(4, 2.0))
+	full.Recovery = DefaultRecovery()
+	opp := DefaultConfig(a510Checkers(2, 2.0))
+	opp.Mode = ModeOpportunistic
+	opp.Recovery = DefaultRecovery()
+	cycle := DefaultConfig(a510Checkers(2, 2.0))
+	cycle.Recovery = DefaultRecovery()
+	cycle.Recovery.Quarantine.CooldownNS = 20_000
+	cases := []struct {
+		name string
+		cfg  Config
+		run  func(Config, *SpecCache) *Result
+	}{
+		{"full-coverage", full, persistent},
+		{"opportunistic", opp, persistent},
+		{"quarantine-degrade-readmit", cycle, phased},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			live := tc.run(tc.cfg, nil)
+			st := live.Lanes[0].Recovery
+			if st.Quarantines == 0 {
+				t.Fatalf("no quarantine: %+v", st)
+			}
+			if tc.name == "quarantine-degrade-readmit" &&
+				(live.Lanes[0].DegradedSegments == 0 || st.Readmissions == 0) {
+				t.Fatalf("phased run did not degrade and readmit: degraded %d segments, %+v",
+					live.Lanes[0].DegradedSegments, st)
+			}
+			before := cache.Stats().StreamsReplayed
+			if got, want := renderResult(tc.run(tc.cfg, cache)), renderResult(live); got != want {
+				t.Fatalf("replayed run diverged from the live run:\n--- live ---\n%s\n--- replay ---\n%s", want, got)
+			}
+			if cache.Stats().StreamsReplayed == before {
+				t.Error("faulted run did not replay the primed stream")
+			}
+		})
+	}
+	st := cache.Stats()
+	if st.StreamsRecorded != 1 {
+		t.Errorf("faulted runs recorded: %d streams in the cache, want the primed 1", st.StreamsRecorded)
+	}
+	if st.SpecAborts != 0 {
+		t.Errorf("faulted replays raised %d aborts", st.SpecAborts)
+	}
+}
+
+// randProgram mixes RAND results into its stores, so its stream
+// depends on the seed.
+func randProgram(iters int64) *isa.Program {
+	b := asm.New("rand")
+	buf := b.Reserve(4 << 10)
+	b.Li(5, int64(isa.DefaultDataBase+buf))
+	b.Li(20, 0)
+	b.Li(21, iters)
+	b.Label("loop")
+	b.Rand(8)
+	b.Andi(6, 8, 4<<10/8-1)
+	b.Slli(6, 6, 3)
+	b.Add(7, 5, 6)
+	b.St(8, 8, 7, 0)
+	b.Addi(20, 20, 1)
+	b.Blt(20, 21, "loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestSpecSeedSharing pins the seed rule of stream keys: the seed
+// reaches execution only through RAND, so a RAND-free program records
+// one stream that serves every seed, while a program with RAND records
+// one stream per seed. Every run matches its own live baseline.
+func TestSpecSeedSharing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prog *isa.Program
+		want uint64
+	}{
+		{"rand-free", mixedProgram(3000), 1},
+		{"rand", randProgram(3000), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := []Workload{{Name: tc.name, Prog: tc.prog}}
+			cache := NewSpecCache()
+			for _, seed := range []uint64{1, 2} {
+				cfg := DefaultConfig(a510Checkers(2, 2.0))
+				cfg.Seed = seed
+				base := runSpec(t, cfg, ws)
+				cfg.Spec = cache
+				for i := 0; i < 2; i++ {
+					if got := runSpec(t, cfg, ws); got != base {
+						t.Fatalf("seed %d, cached run %d diverged from its live baseline", seed, i)
+					}
+				}
+			}
+			st := cache.Stats()
+			if st.StreamsRecorded != tc.want {
+				t.Errorf("recorded %d streams over two seeds, want %d", st.StreamsRecorded, tc.want)
+			}
+			if st.SpecAborts != 0 {
+				t.Errorf("raised %d aborts", st.SpecAborts)
+			}
+		})
+	}
+}
+
+// TestSpecRecordingSize pins the recording format's footprint: a
+// mixedProgram recording must take no more bytes per instruction than
+// the format it replaced, which kept a 4-byte PC per instruction, a
+// 32-byte entry header per logged instruction, 32-byte memory records
+// and two architectural states per segment, with the same flag byte.
+func TestSpecRecordingSize(t *testing.T) {
+	ws := []Workload{{Name: "m0", Prog: mixedProgram(12000)}}
+	cfg := DefaultConfig(a510Checkers(2, 2.0))
+	cache := NewSpecCache()
+	cfg.Spec = cache
+	runSpec(t, cfg, ws)
+	var st *recStream
+	for _, s := range cache.streams {
+		st = s
+	}
+	if st == nil || !st.complete {
+		t.Fatal("no complete recording")
+	}
+	var insts, now, old int
+	for _, rs := range st.segs {
+		logged := 0
+		for _, fl := range rs.flags {
+			if fl&specOpsMask != 0 {
+				logged++
+			}
+		}
+		insts += len(rs.flags)
+		now += rs.memBytes()
+		old += 2*int(unsafe.Sizeof(emu.ArchState{})) + 3*24 + int(unsafe.Sizeof(CheckResult{})) +
+			5*len(rs.flags) + 32*logged + 32*len(rs.ops)
+	}
+	if insts == 0 {
+		t.Fatal("empty recording")
+	}
+	perNow, perOld := float64(now)/float64(insts), float64(old)/float64(insts)
+	t.Logf("recording: %.2f B/inst, replaced format %.2f B/inst", perNow, perOld)
+	if perNow > perOld {
+		t.Errorf("recording takes %.2f B/inst, more than the replaced format's %.2f", perNow, perOld)
 	}
 }

@@ -429,14 +429,19 @@ func (s *System) runSegment(l *lane) error {
 		return nil
 	}
 	// A replay lane (spec.go) never steps the machine: its effects come
-	// from the recorded stream, and stream exhaustion is its halt. A
-	// recording lane steps live and taps every effect into its stream.
+	// from the recorded stream, its architectural state is the one
+	// rebuilt from them, and stream exhaustion is its halt. A recording
+	// lane steps live and taps every effect into its stream.
 	sp := l.spec
 	replay := sp != nil && sp.mode == claimReplay
 	rec := sp != nil && sp.mode == claimRecord
-	if replay && sp.cur.done() {
-		s.finishLane(l)
-		return nil
+	state := &hart.State
+	if replay {
+		if sp.cur.done() {
+			s.finishLane(l)
+			return nil
+		}
+		state = &sp.state
 	}
 
 	now := l.main.TimeNS()
@@ -466,7 +471,7 @@ func (s *System) runSegment(l *lane) error {
 	if l.segChecked {
 		capacityLines = s.lslCapacityLines(l, ck)
 	}
-	l.beginSegment(hart, capacityLines, s.cfg.TimeoutInsts)
+	l.beginSegment(state, capacityLines, s.cfg.TimeoutInsts)
 	if replay {
 		// Snapshot the cursor at segment entry so the pending check can
 		// re-walk exactly this segment's effects (pipeline.go).
@@ -501,12 +506,20 @@ func (s *System) runSegment(l *lane) error {
 	if rec {
 		// Seal the segment's recording before dispatch: the pending
 		// check lands its verdict in it at the join.
-		sp.seal(l.segStart, hart.State)
+		sp.seal(l.segStart)
 	}
 	if sp != nil && reason == BoundaryHalt {
+		// A replay halts only where its stream ends, at the recorded
+		// final state.
+		if replay && (!sp.cur.done() || !archEqual(&sp.state, &sp.stream.end)) {
+			return s.specDiverged(l)
+		}
 		// The whole stream has run through this lane; collection may
 		// publish the recording and any micro trace recorded over it.
 		sp.sawEnd = true
+		if rec {
+			sp.end = hart.State
+		}
 	}
 
 	// --- close the checkpoint ---
@@ -554,7 +567,7 @@ func (s *System) runSegment(l *lane) error {
 		Seq:      l.segSeq,
 		Hart:     l.hart,
 		Start:    l.segStart,
-		End:      hart.State,
+		End:      *state,
 		Entries:  l.entries,
 		Insts:    l.segInsts,
 		LogBytes: l.segBytes,
@@ -634,8 +647,8 @@ func (s *System) lslCapacityLines(l *lane, ck *Checker) int {
 	return ck.Core.Config().L1D.SizeBytes / LineBytes
 }
 
-func (l *lane) beginSegment(hart *emu.Hart, capacityLines int, timeoutInsts uint64) {
-	l.segStart = hart.State
+func (l *lane) beginSegment(state *emu.ArchState, capacityLines int, timeoutInsts uint64) {
+	l.segStart = *state
 	l.entries = l.entries[:0]
 	l.ops = l.ops[:0]
 	l.segInsts = 0
@@ -931,8 +944,12 @@ func (s *System) traceCheck(l *lane, ck *Checker, seg *Segment, startNS, durNS f
 // Run builds and runs a system in one call. When a replayed stream
 // fails the continuity check, the whole system is rebuilt and rerun
 // without the SpecCache — the check turns any stream defect into
-// wall-clock cost, never a result difference. Each system's caches are
-// released for reuse once its run returns (System.release).
+// wall-clock cost, never a result difference. A configuration with an
+// interceptor is the exception: the aborted run has already advanced
+// the injectors' state, which only the caller can rebuild, so Run
+// returns ErrSpecDiverged and the caller reruns with fresh injectors.
+// Each system's caches are released for reuse once its run returns
+// (System.release).
 func Run(cfg Config, workloads []Workload) (*Result, error) {
 	s, err := NewSystem(cfg, workloads)
 	if err != nil {
@@ -941,6 +958,9 @@ func Run(cfg Config, workloads []Workload) (*Result, error) {
 	res, err := s.Run()
 	s.release()
 	if err != nil && cfg.Spec != nil && errors.Is(err, ErrSpecDiverged) {
+		if cfg.CheckerInterceptor != nil || cfg.MainInterceptor != nil {
+			return nil, err
+		}
 		cfg.Spec = nil
 		if s, err = NewSystem(cfg, workloads); err != nil {
 			return nil, err

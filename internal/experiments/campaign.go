@@ -9,7 +9,9 @@ import (
 // scale's fault benchmarks: randomized stuck-at / LSQ / transient faults
 // against full-coverage and opportunistic checker systems, with the
 // closed-loop recovery pipeline (re-replay, forensics, quarantine,
-// graceful degradation) live in every trial. trials <= 0 picks a
+// graceful degradation) live in every trial. Checker-fault trials
+// replay each workload's main stream from one priming run and check
+// every segment for real (fault.RunCampaign). trials <= 0 picks a
 // scale-appropriate default; the base seed makes the verdict tables
 // reproducible regardless of workers.
 func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult, error) {
@@ -32,9 +34,10 @@ func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult,
 	opp := core.DefaultConfig(a510Spec(2, 2.0))
 	opp.Mode = core.ModeOpportunistic
 	opp.Recovery = core.DefaultRecovery()
-	// Campaign trials bypass the engine (they call fault.RunCampaign
-	// directly), so the process-wide trace setting is applied here. It
-	// does not change trial outcomes.
+	// Campaign trials bypass the engine and its SpecCache (they call
+	// fault.RunCampaign, which primes a cache of its own), so the
+	// process-wide trace setting is applied here. It does not change
+	// trial outcomes.
 	applyTrace(&full)
 	applyTrace(&opp)
 

@@ -346,10 +346,9 @@ func SetWorkers(n int) {
 func SetTimeShards(int) {}
 
 // applySpec attaches the engine's SpecCache to a cacheable submission.
-// Fault-injection runs carry interceptors whose per-run mutable state
-// must never be shared, and the cache declines them anyway
-// (laneSpecEligible); leaving them untouched keeps that property
-// obvious here.
+// Fault-injection submissions (fig. 8's trials) are left without it:
+// they bypass the run cache, and fault.RunCampaign is where trials
+// share a primed cache of their own.
 func (e *Engine) applySpec(cfg *core.Config) {
 	if cacheable(cfg) && cfg.Spec == nil {
 		cfg.Spec = e.spec

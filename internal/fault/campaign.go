@@ -6,6 +6,15 @@
 // the masked/detected/undetected-SDC split, and quarantine/recovery
 // statistics — the SDC-campaign methodology ITHICA and RepTFD apply at
 // data-center scale.
+//
+// A checker-side fault cannot change the main core's instruction
+// stream: checkers replay the main's load-store log. So the campaign
+// records each workload's main stream once, in an unchecked priming
+// run, into a SpecCache every trial shares, and lockstep trials with
+// checker-side faults take their main-side effects from it while every
+// check still runs for real (core.Config.Spec). Common-mode trials,
+// which fault the main core itself, and non-lockstep strategies run
+// live. Tables are byte-identical with or without the cache.
 package fault
 
 import (
@@ -193,29 +202,69 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		trials[i] = genTrial(&cfg, i)
 	}
 
+	spec, err := primeSpec(&cfg)
+	if err != nil {
+		return nil, err
+	}
 	results := make([]TrialResult, len(trials))
 	errs := make([]error, len(trials))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = runTrial(&cfg, trials[i])
-			}
-		}()
-	}
-	for i := range trials {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
+	parallel(len(trials), cfg.Workers, func(i int) {
+		results[i], errs[i] = runTrial(&cfg, trials[i], spec)
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	return &CampaignResult{Trials: results}, nil
+}
+
+// parallel calls f(0..n-1) over at most workers goroutines.
+func parallel(n, workers int, f func(i int)) {
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				f(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+}
+
+// primeSpec returns the SpecCache the campaign's trials share, primed
+// with every workload's main stream by one unchecked run on
+// Configs[0]'s main core, or nil when no config resolves to lockstep
+// (only lockstep trials can replay). The priming runs carry no checker,
+// injector, recovery or trace, so they touch nothing a trial reports.
+func primeSpec(cfg *CampaignConfig) (*core.SpecCache, error) {
+	lockstep := false
+	for i := range cfg.Configs {
+		lockstep = lockstep || cfg.Configs[i].ResolvedStrategy() == core.StrategyLockstep
+	}
+	if !lockstep {
+		return nil, nil
+	}
+	spec := core.NewSpecCache()
+	prime := cfg.Configs[0]
+	prime.Checkers = nil
+	prime.Recovery = core.RecoveryConfig{}
+	prime.CheckerInterceptor, prime.MainInterceptor = nil, nil
+	prime.Trace = nil
+	prime.Spec = spec
+	errs := make([]error, len(cfg.Workloads))
+	parallel(len(cfg.Workloads), cfg.Workers, func(i int) {
+		w := cfg.Workloads[i]
+		if _, err := core.Run(prime, []core.Workload{w}); err != nil {
+			errs[i] = fmt.Errorf("fault: priming %s: %w", w.Name, err)
+		}
+	})
+	return spec, errors.Join(errs...)
 }
 
 // trialSeed spreads the base seed across trials with a splitmix-style
@@ -327,7 +376,23 @@ func randomFU(rng *rand.Rand, fuCounts map[isa.Class]int) (isa.Class, int, int) 
 	return class, units, rng.Intn(units)
 }
 
-func runTrial(cfg *CampaignConfig, t Trial) (TrialResult, error) {
+// runSystem runs one trial's system; tests substitute it to force a
+// replay divergence.
+var runSystem = core.Run
+
+// runTrial runs trial t, replaying the main core's stream from spec
+// where the trial allows it. A replay that fails the cache's continuity
+// check has already advanced the trial's injector, so the trial reruns
+// once, live, with a fresh one.
+func runTrial(cfg *CampaignConfig, t Trial, spec *core.SpecCache) (TrialResult, error) {
+	out, err := runTrialOnce(cfg, t, spec)
+	if spec != nil && errors.Is(err, core.ErrSpecDiverged) {
+		out, err = runTrialOnce(cfg, t, nil)
+	}
+	return out, err
+}
+
+func runTrialOnce(cfg *CampaignConfig, t Trial, spec *core.SpecCache) (TrialResult, error) {
 	out := TrialResult{
 		Trial:         t,
 		WorkloadName:  cfg.Workloads[t.Workload].Name,
@@ -338,6 +403,7 @@ func runTrial(cfg *CampaignConfig, t Trial) (TrialResult, error) {
 		sys.Recovery = core.DefaultRecovery()
 	}
 	sys.Seed = uint64(t.Seed)
+	sys.Spec = spec
 	inj, err := NewInjector(t.Fault)
 	if err != nil {
 		return out, fmt.Errorf("fault: trial %d: %w", t.Index, err)
@@ -356,7 +422,7 @@ func runTrial(cfg *CampaignConfig, t Trial) (TrialResult, error) {
 		}
 	}
 
-	res, err := core.Run(sys, []core.Workload{cfg.Workloads[t.Workload]})
+	res, err := runSystem(sys, []core.Workload{cfg.Workloads[t.Workload]})
 	if err != nil {
 		return out, fmt.Errorf("fault: trial %d (%s on %s): %w",
 			t.Index, t.Fault, out.WorkloadName, err)

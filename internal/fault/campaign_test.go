@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -173,6 +174,111 @@ func TestCampaignOutcomesAndRecovery(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Errorf("summary table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+// TestCampaignTrialReplayMatchesLive pins the campaign's shared cache:
+// every trial of a block returns an identical TrialResult whether it
+// runs live or replays the main stream from the primed SpecCache, and
+// the lockstep trials with checker-side faults do replay.
+func TestCampaignTrialReplayMatchesLive(t *testing.T) {
+	cfg := campaignConfig(24, 1)
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := primeSpec(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec == nil {
+		t.Fatal("lockstep campaign was not primed")
+	}
+	primed := spec.Stats().StreamsRecorded
+	if primed != uint64(len(cfg.Workloads)) {
+		t.Fatalf("priming recorded %d streams, want one per workload (%d)", primed, len(cfg.Workloads))
+	}
+	replayable := 0
+	for i := 0; i < cfg.Trials; i++ {
+		tr := genTrial(&cfg, i)
+		if !tr.Fault.CommonMode() {
+			replayable++
+		}
+		live, err := runTrial(&cfg, tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := runTrial(&cfg, tr, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(live, replay) {
+			t.Errorf("trial %d (%s): replayed result differs from live:\n%+v\nvs\n%+v", i, tr.Fault, live, replay)
+		}
+	}
+	st := spec.Stats()
+	if replayable == 0 || st.StreamsReplayed != uint64(replayable) {
+		t.Errorf("replayed %d streams for %d checker-fault trials", st.StreamsReplayed, replayable)
+	}
+	if st.StreamsRecorded != primed || st.SpecAborts != 0 {
+		t.Errorf("trials recorded %d streams and aborted %d replays, want none", st.StreamsRecorded-primed, st.SpecAborts)
+	}
+}
+
+// TestCampaignTrialRetriesDivergedReplay forces a replay divergence:
+// the trial's first run advances its injector and then fails with
+// ErrSpecDiverged, and the trial must rerun live with a fresh injector
+// and report exactly the live result.
+func TestCampaignTrialRetriesDivergedReplay(t *testing.T) {
+	cfg := campaignConfig(8, 1)
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := primeSpec(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr Trial
+	for i := 0; ; i++ {
+		if tr = genTrial(&cfg, i); !tr.Fault.CommonMode() && tr.Fault.Kind != Transient {
+			break
+		}
+	}
+	live, err := runTrial(&cfg, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Fires == 0 {
+		t.Fatalf("trial %d never fires its fault; the retry check would be vacuous", tr.Index)
+	}
+
+	calls := 0
+	runSystem = func(sys core.Config, ws []core.Workload) (*core.Result, error) {
+		calls++
+		if sys.Spec != nil {
+			// Exercise every checker's injector, as a run that diverged
+			// midway would have.
+			for ck := 0; ck < 4; ck++ {
+				if in := sys.CheckerInterceptor(0, ck); in != nil {
+					for i := 0; i < 1000; i++ {
+						in.Result(isa.Inst{}, tr.Fault.Class, false, 0)
+						in.Address(isa.Inst{}, 0)
+					}
+				}
+			}
+			return nil, core.ErrSpecDiverged
+		}
+		return core.Run(sys, ws)
+	}
+	defer func() { runSystem = core.Run }()
+	got, err := runTrial(&cfg, tr, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 {
+		t.Errorf("trial ran %d times, want a diverged replay and one live retry", calls)
+	}
+	if !reflect.DeepEqual(got, live) {
+		t.Errorf("retried trial differs from the live trial:\n%+v\nvs\n%+v", got, live)
 	}
 }
 
