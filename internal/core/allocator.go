@@ -77,20 +77,20 @@ type Checker struct {
 	// available").
 	sizeRank float64
 
-	// Pipelined-verification state (pipeline.go). pending is the
-	// in-flight asynchronous check that owns this checker; while it is
-	// non-nil, FreeAtNS and the Busy/Insts/Segments statistics are stale
-	// and must not be read before a join. floorNS lower-bounds the
-	// pending check's final FreeAtNS, letting allocator queries skip a
-	// certainly-busy checker without joining it. bb routes the checker
-	// core's beyond-L2 accesses into the pending check's buffer.
+	// check is the record every segment check dispatched to this
+	// checker fills and runs (pipeline.go). pending points at it while
+	// a deferred-join check is unjoined; until then FreeAtNS and the
+	// Busy/Insts/Segments statistics are stale and must not be read.
+	// floorNS lower-bounds the pending check's final FreeAtNS, letting
+	// allocator queries skip a certainly-busy checker without joining
+	// it.
+	check   pendingCheck
 	pending *pendingCheck
 	floorNS float64
-	bb      *checkerBuffer
 
-	// scratch is the checker's reusable verification state: one pending
-	// check owns the checker (and with it the scratch) at a time, so
-	// steady-state verification allocates nothing.
+	// scratch is the checker's reusable verification state, shared by
+	// its segment checks, recovery re-replays and forensic rounds, which
+	// never overlap: steady-state verification allocates nothing.
 	scratch CheckScratch
 }
 

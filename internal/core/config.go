@@ -140,9 +140,6 @@ type Config struct {
 	// Unlike Spec below, the strategy changes simulated outcomes and is
 	// part of the run-cache fingerprint.
 	Strategy Strategy
-	// StrategyTuning tunes the chunk-replay and relaxed-start
-	// strategies (zero values select the documented defaults).
-	StrategyTuning StrategyConfig
 	// EagerWake lets a checker start as log lines arrive rather than at
 	// checkpoint end (section IV-H).
 	EagerWake bool
@@ -303,9 +300,6 @@ func (c *Config) Validate() error {
 		}
 	default:
 		return fmt.Errorf("core: invalid checking strategy %d", c.Strategy)
-	}
-	if c.StrategyTuning.MaxLagSegments < 0 {
-		return fmt.Errorf("core: negative relaxed-start lag bound %d", c.StrategyTuning.MaxLagSegments)
 	}
 	if err := c.Recovery.Validate(); err != nil {
 		return err

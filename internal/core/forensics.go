@@ -61,18 +61,19 @@ type ForensicsReport struct {
 // checker's fault environment (intc; nil models a checker later found
 // healthy) plus once fault-free, and classifies the culprit. The segment
 // must carry its entries and start/end checkpoints, which ParaVerser
-// retains exactly for this purpose at 776B per core (section V).
-func Investigate(prog *isa.Program, seg *Segment, hashMode bool, intc emu.Interceptor, n int) ForensicsReport {
+// retains exactly for this purpose at 776B per core (section V). Every
+// replay runs on cs, the suspect checker's own scratch.
+func (cs *CheckScratch) Investigate(prog *isa.Program, seg *Segment, hashMode bool, intc emu.Interceptor, n int) ForensicsReport {
 	if n < 1 {
 		n = 1
 	}
 	rep := ForensicsReport{Replays: n}
 	for i := 0; i < n; i++ {
-		if CheckSegment(prog, seg, hashMode, intc, nil).Detected() {
+		if cs.CheckSegment(prog, seg, hashMode, intc, nil).Detected() {
 			rep.Failures++
 		}
 	}
-	rep.ReferenceOK = !CheckSegment(prog, seg, hashMode, nil, nil).Detected()
+	rep.ReferenceOK = !cs.CheckSegment(prog, seg, hashMode, nil, nil).Detected()
 
 	switch {
 	case rep.Failures == n && rep.ReferenceOK:

@@ -35,7 +35,7 @@ func TestInvestigateCheckerPersistent(t *testing.T) {
 		if !CheckSegment(prog, seg, false, intc, nil).Detected() {
 			continue
 		}
-		rep := Investigate(prog, seg, false, intc, 5)
+		rep := new(CheckScratch).Investigate(prog, seg, false, intc, 5)
 		if rep.Diagnosis != CheckerPersistent {
 			t.Fatalf("diagnosis %v, want checker-persistent (%+v)", rep.Diagnosis, rep)
 		}
@@ -59,7 +59,7 @@ func TestInvestigateMainSuspected(t *testing.T) {
 			break
 		}
 	}
-	rep := Investigate(prog, seg, false, nil, 3)
+	rep := new(CheckScratch).Investigate(prog, seg, false, nil, 3)
 	if rep.Diagnosis != MainSuspected {
 		t.Fatalf("diagnosis %v, want main-suspected (%+v)", rep.Diagnosis, rep)
 	}
@@ -68,7 +68,7 @@ func TestInvestigateMainSuspected(t *testing.T) {
 func TestInvestigateNotReproduced(t *testing.T) {
 	prog := workProgram()
 	segs := captureSegments(t, prog, 60, false)
-	rep := Investigate(prog, segs[0], false, nil, 3)
+	rep := new(CheckScratch).Investigate(prog, segs[0], false, nil, 3)
 	if rep.Diagnosis != NotReproduced {
 		t.Fatalf("diagnosis %v, want not-reproduced for a clean segment", rep.Diagnosis)
 	}
@@ -82,7 +82,7 @@ func TestInvestigateCheckerIntermittent(t *testing.T) {
 	intc := &flakyInterceptor{period: 97}
 	found := false
 	for _, seg := range segs {
-		rep := Investigate(prog, seg, false, intc, 7)
+		rep := new(CheckScratch).Investigate(prog, seg, false, intc, 7)
 		if rep.Diagnosis == CheckerIntermittent {
 			found = true
 			break

@@ -134,11 +134,7 @@ func (s *System) replayOn(l *lane, ck *Checker, seg *Segment, nowNS float64) (Ch
 	startNS := math.Max(nowNS+lineLatNS, ck.FreeAtNS)
 	ck.Core.AdvanceTo(startNS * ck.FreqGHz)
 	c0 := ck.Core.Cycles()
-	var intc emu.Interceptor
-	if s.cfg.CheckerInterceptor != nil {
-		intc = s.cfg.CheckerInterceptor(l.idx, ck.ID)
-	}
-	res := CheckSegment(l.proc.w.Prog, seg, s.cfg.HashMode, intc, func(e *emu.Effect) {
+	res := ck.scratch.CheckSegment(l.proc.w.Prog, seg, s.cfg.HashMode, s.checkerIntc(l, ck), func(e *emu.Effect) {
 		ck.Core.Consume(e)
 	})
 	durNS := (ck.Core.Cycles() - c0) / ck.FreqGHz
@@ -192,11 +188,7 @@ func (s *System) recover(l *lane, suspect *Checker, seg *Segment, detectNS float
 	// Repeat replays on the suspect's fault environment plus a reference
 	// replay classify the culprit (section V). These run out-of-band on
 	// the implicated core, so they are not charged to the lane's clock.
-	var intc emu.Interceptor
-	if s.cfg.CheckerInterceptor != nil {
-		intc = s.cfg.CheckerInterceptor(l.idx, suspect.ID)
-	}
-	rep := Investigate(l.proc.w.Prog, seg, s.cfg.HashMode, intc, rc.ForensicRounds)
+	rep := suspect.scratch.Investigate(l.proc.w.Prog, seg, s.cfg.HashMode, s.checkerIntc(l, suspect), rc.ForensicRounds)
 	ev.Verdict = rep.Diagnosis
 
 	switch rep.Diagnosis {

@@ -37,10 +37,10 @@ package core
 //
 // Because the replay lane's state is exact, its segments carry the
 // real Start/End checkpoints, and a checker can verify them for real.
-// Two dispatch paths use that differently. A pipelined (fault-free
-// lockstep) replay synthesises clean verdicts: a checked recording is
-// published only once every segment's checker verdict has landed clean
-// (pendingCheck.recInto). A synchronous lockstep replay — a run with a
+// The two ways a check settles (pipeline.go) use that differently. A
+// deferred-join (fault-free lockstep) replay synthesises clean
+// verdicts: a checked recording is published only once every segment's
+// checker verdict has landed clean (pendingCheck.recInto). A synchronous lockstep replay — a run with a
 // checker-side fault injector or the recovery pipeline — verifies every
 // segment with CheckSegment under the checker's injector, exactly as a
 // live run would, and never records: a checker fault cannot change the
@@ -445,8 +445,8 @@ func (sp *laneSpec) seal(start emu.ArchState) {
 // multi-hart processes interleave through shared memory under timing
 // control: those lanes run live. Checker-side faults and the recovery
 // pipeline cannot change the main's stream — checkers replay its log —
-// so a lockstep lane with either replays too, on the synchronous
-// dispatch, where every segment, re-replay, forensic round and
+// so a lockstep lane with either replays too, settling its checks
+// synchronously, where every segment, re-replay, forensic round and
 // probation shadow check runs CheckSegment for real under the checker's
 // injector. The other non-pipelined strategies (chunk replay, relaxed
 // start) run live. Boundary shape does NOT matter for replay — the
@@ -454,8 +454,8 @@ func (sp *laneSpec) seal(start emu.ArchState) {
 // opportunistic mode, sampling and non-uniform pool capacities all
 // replay fine.
 //
-// Recording is stricter: checked recorders need the pipelined dispatch
-// (no injector, no recovery), full coverage and a uniform pool
+// Recording is stricter: checked recorders need deferred joins (no
+// injector, no recovery), full coverage and a uniform pool
 // capacity. Soundness needs the first two — every segment of the
 // stream must be verified fault-free before publication. The third
 // keeps the set of recording runs, and with it the cache counters, as

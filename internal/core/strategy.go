@@ -20,7 +20,7 @@ const (
 	StrategyAuto Strategy = iota
 	// StrategyLockstep is the paper's scheme: per-segment dispatch,
 	// identical replay, full LSC/RCU comparison. The only strategy
-	// eligible for the pipelined dispatch engine (pipeline.go).
+	// whose checks may defer their joins (pipeline.go).
 	StrategyLockstep
 	// StrategyDivergent is DME-style multi-version checking: per-segment
 	// dispatch, but the checker replays a structurally decorrelated
@@ -90,89 +90,51 @@ func (c *Config) ResolvedStrategy() Strategy {
 	return StrategyLockstep
 }
 
-// StrategyConfig tunes the chunk-replay and relaxed-start strategies.
-// Zero values select the documented defaults, so DefaultConfig needs no
-// edits to run any strategy.
-type StrategyConfig struct {
-	// ChunkInsts is the chunk-replay flush threshold in instructions
-	// (0 = defaultChunkSegments checkpoint timeouts' worth).
-	ChunkInsts uint64
-	// MaxLagSegments bounds how many consecutive segments a relaxed-start
-	// lane may dispatch onto a busy pool before falling back to a
-	// lockstep-style stall (0 = defaultMaxLagSegments). This bound is
-	// what keeps the detection-latency window finite.
-	MaxLagSegments int
-}
-
 const (
-	defaultChunkSegments  = 4
+	// defaultChunkSegments sizes a replay chunk: chunk replay flushes
+	// once a chunk holds this many checkpoint timeouts' worth of
+	// instructions.
+	defaultChunkSegments = 4
+	// defaultMaxLagSegments bounds how many consecutive segments a
+	// relaxed-start lane may dispatch onto a busy pool before falling
+	// back to a lockstep-style stall. This bound is what keeps the
+	// detection-latency window finite.
 	defaultMaxLagSegments = 4
 )
 
-// chunkInsts resolves the effective chunk-replay flush threshold.
-func (c *Config) chunkInsts() uint64 {
-	if c.StrategyTuning.ChunkInsts > 0 {
-		return c.StrategyTuning.ChunkInsts
-	}
-	return defaultChunkSegments * c.TimeoutInsts
-}
-
-// maxLagSegments resolves the effective relaxed-start backlog bound.
-func (c *Config) maxLagSegments() int {
-	if c.StrategyTuning.MaxLagSegments > 0 {
-		return c.StrategyTuning.MaxLagSegments
-	}
-	return defaultMaxLagSegments
-}
-
-// CheckStrategy is the pluggable segment-verification policy behind the
-// orchestrator: it decides how checker resources are acquired per
-// segment (acquire), what happens to a closed checked segment
-// (dispatch), and how deferred work drains at protocol boundaries
-// (finish). Implementations are stateless singletons; per-lane strategy
-// state lives on the lane (chunk accumulator, relaxed lag counter), so
-// one System can drive many lanes through one strategy value.
-type CheckStrategy interface {
-	// Name is the strategy's CLI/reporting name.
-	Name() string
-	// pipelineOK reports whether the strategy's dispatch is compatible
-	// with the pipelined verification engine (pipeline.go). Only
-	// lockstep is: the other strategies either order checks against
-	// private lane state (divergent) or defer dispatch past segment
-	// close (chunk replay, relaxed start).
-	pipelineOK() bool
-	// acquire applies the strategy's per-segment resource policy at
-	// segment open: it may stall the main core, sets l.segChecked /
-	// l.segDegraded, and returns the checker the segment will dispatch
-	// to (nil for strategies that defer acquisition) plus the
-	// opportunistic resume deadline (+Inf when none).
-	acquire(s *System, l *lane, now float64) (*Checker, float64)
-	// dispatch handles one closed, checked segment.
-	dispatch(s *System, l *lane, ck *Checker, seg *Segment)
-	// finish drains any deferred per-lane work (an accumulating chunk)
-	// at protocol boundaries: warmup snapshot, an unchecked window
-	// opening, lane completion. Must be idempotent.
-	finish(s *System, l *lane)
-}
-
-// newStrategy maps a resolved Strategy to its implementation.
-func newStrategy(st Strategy) CheckStrategy {
-	switch st {
-	case StrategyDivergent:
-		return divergentStrategy{}
+// acquire applies the run's per-segment resource policy at segment
+// open: it may stall the main core, sets l.segChecked / l.segDegraded,
+// and returns the checker the segment will dispatch to (nil when chunk
+// replay defers acquisition to the flush) plus the opportunistic
+// resume deadline (+Inf when none).
+//
+//paralint:hotpath
+func (s *System) acquire(l *lane, now float64) (*Checker, float64) {
+	switch s.cfg.ResolvedStrategy() {
 	case StrategyChunkReplay:
-		return chunkReplayStrategy{}
+		s.chunkAcquire(l)
+		return nil, math.Inf(1)
 	case StrategyRelaxed:
-		return relaxedStrategy{}
+		return s.relaxedAcquire(l, now), math.Inf(1)
 	default:
-		return lockstepStrategy{}
+		return s.segmentAcquire(l, now)
 	}
 }
 
-// segmentAcquire is the historical per-segment resource policy shared by
-// the lockstep and divergent strategies — full-coverage stalls, degraded
-// windows when quarantine empties the pool, opportunistic skips and
-// resume deadlines — byte-identical to the pre-strategy engine.
+// stallFor stalls lane l's main core from now until checker e frees
+// (section IV-A) and returns e.
+func (s *System) stallFor(l *lane, e *Checker, now float64) *Checker {
+	stall := e.FreeAtNS - now
+	l.main.StallNS(stall)
+	l.res.StallNS += stall
+	s.metrics.StallNS += uint64(stall + 0.5)
+	return e
+}
+
+// segmentAcquire is the paper's per-segment resource policy, shared by
+// the lockstep and divergent strategies — full-coverage stalls,
+// degraded windows when quarantine empties the pool, opportunistic
+// skips and resume deadlines.
 //
 //paralint:hotpath
 func (s *System) segmentAcquire(l *lane, now float64) (*Checker, float64) {
@@ -191,12 +153,7 @@ func (s *System) segmentAcquire(l *lane, now float64) (*Checker, float64) {
 				l.segDegraded = true
 				break
 			}
-			// Stall until a checker frees (section IV-A).
-			stall := e.FreeAtNS - now
-			l.main.StallNS(stall)
-			l.res.StallNS += stall
-			s.metrics.StallNS += uint64(stall + 0.5)
-			ck = e
+			ck = s.stallFor(l, e, now)
 		}
 		l.segChecked = true
 	case ModeOpportunistic:
@@ -216,36 +173,6 @@ func (s *System) segmentAcquire(l *lane, now float64) (*Checker, float64) {
 	}
 	return ck, resumeAtNS
 }
-
-// lockstepStrategy is the paper's per-segment identical-replay checking.
-type lockstepStrategy struct{}
-
-func (lockstepStrategy) Name() string     { return "lockstep" }
-func (lockstepStrategy) pipelineOK() bool { return true }
-
-func (lockstepStrategy) acquire(s *System, l *lane, now float64) (*Checker, float64) {
-	return s.segmentAcquire(l, now)
-}
-func (lockstepStrategy) dispatch(s *System, l *lane, ck *Checker, seg *Segment) {
-	s.dispatch(l, ck, seg)
-}
-func (lockstepStrategy) finish(*System, *lane) {}
-
-// divergentStrategy shares lockstep's per-segment scheduling; the
-// decorrelated replay itself is selected inside System.dispatch by the
-// lane's divergent state.
-type divergentStrategy struct{}
-
-func (divergentStrategy) Name() string     { return "divergent" }
-func (divergentStrategy) pipelineOK() bool { return false }
-
-func (divergentStrategy) acquire(s *System, l *lane, now float64) (*Checker, float64) {
-	return s.segmentAcquire(l, now)
-}
-func (divergentStrategy) dispatch(s *System, l *lane, ck *Checker, seg *Segment) {
-	s.dispatch(l, ck, seg)
-}
-func (divergentStrategy) finish(*System, *lane) {}
 
 // chunkState accumulates a lane's checked segments into one RepTFD-style
 // replay chunk. entries and ops are the chunk's private arenas: the
@@ -276,32 +203,31 @@ func (c *chunkState) reset() {
 	c.ops = c.ops[:0]
 }
 
-// chunkReplayStrategy is RepTFD-style coarse-grained checking: logging
-// is decoupled from checker acquisition. Every segment is logged (no
-// per-segment stall); the checker is acquired once per chunk at flush
-// time, and the whole chunk verifies as a single replay window through
-// the standard dispatch path — so NoC/EagerWake timing, recovery and
-// tracing all apply unchanged at the coarser grain.
-type chunkReplayStrategy struct{}
-
-func (chunkReplayStrategy) Name() string     { return "chunk-replay" }
-func (chunkReplayStrategy) pipelineOK() bool { return false }
-
+// chunkAcquire is chunk replay's segment-open policy (RepTFD-style
+// coarse-grained checking): logging is decoupled from checker
+// acquisition, so every segment is logged without a per-segment stall;
+// flushChunk acquires the checker once per chunk, and the whole chunk
+// verifies as a single replay window through dispatch — so NoC and
+// EagerWake timing, recovery and tracing all apply unchanged at the
+// coarser grain.
+//
 //paralint:hotpath
-func (chunkReplayStrategy) acquire(s *System, l *lane, now float64) (*Checker, float64) {
+func (s *System) chunkAcquire(l *lane) {
 	if l.alloc.ActiveCount() == 0 {
 		// Quarantine emptied the pool: degrade exactly as the
 		// per-segment strategies do. The pending chunk is flushed (and
 		// reclassified) before this unchecked window is accounted.
 		l.segDegraded = true
-		return nil, math.Inf(1)
+		return
 	}
 	l.segChecked = true
-	return nil, math.Inf(1)
 }
 
+// chunkAppend adds a closed, checked segment to the lane's replay chunk
+// and flushes the chunk once it is full or the lane halts.
+//
 //paralint:hotpath
-func (st chunkReplayStrategy) dispatch(s *System, l *lane, ck *Checker, seg *Segment) {
+func (s *System) chunkAppend(l *lane, seg *Segment) {
 	c := l.chunk
 	if c.segs == 0 {
 		c.firstSeq = seg.Seq
@@ -325,19 +251,19 @@ func (st chunkReplayStrategy) dispatch(s *System, l *lane, ck *Checker, seg *Seg
 	c.logLines += seg.LogLines
 	c.reason = seg.Reason
 	s.metrics.ChunkSegments++
-	if c.insts >= s.cfg.chunkInsts() || seg.Reason == BoundaryHalt {
-		st.flush(s, l)
+	if c.insts >= defaultChunkSegments*s.cfg.TimeoutInsts || seg.Reason == BoundaryHalt {
+		s.flushChunk(l)
 	}
 }
 
-func (st chunkReplayStrategy) finish(s *System, l *lane) { st.flush(s, l) }
-
-// flush verifies the accumulated chunk: acquire a checker at chunk
-// granularity — stalling at the chunk boundary if the pool is busy,
-// reclassifying the chunk as a degraded window if quarantine emptied it
-// after the segments were logged — then route one synthetic segment
-// spanning the whole chunk through the standard synchronous dispatch.
-func (chunkReplayStrategy) flush(s *System, l *lane) {
+// flushChunk verifies the lane's accumulated replay chunk, if any. It is
+// called wherever the contiguous checked stream ends: an unchecked
+// window opening, the warmup snapshot and lane completion. It acquires
+// a checker at chunk granularity — stalling at the chunk boundary if
+// the pool is busy, reclassifying the chunk as a degraded window if
+// quarantine emptied it after the segments were logged — then routes
+// one synthetic segment spanning the whole chunk through dispatch.
+func (s *System) flushChunk(l *lane) {
 	c := l.chunk
 	if c == nil || c.segs == 0 {
 		return
@@ -362,11 +288,7 @@ func (chunkReplayStrategy) flush(s *System, l *lane) {
 			c.reset()
 			return
 		}
-		stall := e.FreeAtNS - now
-		l.main.StallNS(stall)
-		l.res.StallNS += stall
-		s.metrics.StallNS += uint64(stall + 0.5)
-		ck = e
+		ck = s.stallFor(l, e, now)
 	}
 	seg := &Segment{
 		Seq:      c.firstSeq,
@@ -386,49 +308,35 @@ func (chunkReplayStrategy) flush(s *System, l *lane) {
 	c.reset()
 }
 
-// relaxedStrategy is MEEK-style relaxed check start: when the pool is
+// relaxedAcquire is MEEK-style relaxed check start: when the pool is
 // busy the segment's check is deferred onto the earliest-free checker's
-// queue instead of stalling the main core, up to MaxLagSegments in a
-// row; past the bound the lane stalls as lockstep would, which is what
-// keeps the detection-latency window finite.
-type relaxedStrategy struct{}
-
-func (relaxedStrategy) Name() string     { return "relaxed" }
-func (relaxedStrategy) pipelineOK() bool { return false }
-
+// queue instead of stalling the main core, up to defaultMaxLagSegments
+// in a row; past the bound the lane stalls as lockstep would, which is
+// what keeps the detection-latency window finite.
+//
 //paralint:hotpath
-func (relaxedStrategy) acquire(s *System, l *lane, now float64) (*Checker, float64) {
+func (s *System) relaxedAcquire(l *lane, now float64) *Checker {
 	ck := l.alloc.AcquireFree(now)
 	if ck != nil {
 		l.relaxLag = 0
 		l.segChecked = true
-		return ck, math.Inf(1)
+		return ck
 	}
 	e := l.alloc.EarliestFree()
 	if e == nil {
 		l.segDegraded = true
-		return nil, math.Inf(1)
+		return nil
 	}
-	if l.relaxLag < s.cfg.maxLagSegments() {
+	l.segChecked = true
+	if l.relaxLag < defaultMaxLagSegments {
 		// Defer: dispatch to the earliest-free checker anyway — the
 		// check's start time floors at the checker's FreeAtNS, which is
 		// exactly the bounded backlog queueing in simulation terms.
 		l.relaxLag++
-		l.segChecked = true
 		s.metrics.RelaxedDeferred++
-		return e, math.Inf(1)
+		return e
 	}
 	// Backlog bound reached: stall to the next free checker.
-	stall := e.FreeAtNS - now
-	l.main.StallNS(stall)
-	l.res.StallNS += stall
-	s.metrics.StallNS += uint64(stall + 0.5)
 	l.relaxLag = 0
-	l.segChecked = true
-	return e, math.Inf(1)
+	return s.stallFor(l, e, now)
 }
-
-func (relaxedStrategy) dispatch(s *System, l *lane, ck *Checker, seg *Segment) {
-	s.dispatch(l, ck, seg)
-}
-func (relaxedStrategy) finish(*System, *lane) {}

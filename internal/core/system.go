@@ -35,12 +35,6 @@ type System struct {
 	// pipeline (nil when recovery is disabled).
 	tracker *maintenance.Tracker
 
-	// strat is the run's segment-verification strategy (strategy.go):
-	// per-segment resource policy, dispatch granularity, and deferred
-	// drains. Resolved once from the config; lockstep and divergent
-	// reproduce the historical engine byte for byte.
-	strat CheckStrategy
-
 	// pipelined selects the deferred-join dispatch protocol
 	// (pipeline.go): a check runs at its dispatch point against
 	// dispatch-time snapshots of the shared state, and its shared-state
@@ -125,7 +119,7 @@ type lane struct {
 	// strategy only; nil otherwise).
 	chunk *chunkState
 	// relaxLag counts consecutive segments the relaxed-start strategy
-	// has dispatched onto a busy pool; bounded by MaxLagSegments.
+	// has dispatched onto a busy pool; bounded by defaultMaxLagSegments.
 	relaxLag int
 
 	// spec is this lane's SpecCache state (spec.go): a recording tap on
@@ -223,16 +217,14 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 	if cfg.Recovery.Enabled {
 		s.tracker = maintenance.NewTracker()
 	}
-	s.strat = newStrategy(cfg.ResolvedStrategy())
 	// Recovery consumes check verdicts immediately (re-replay,
 	// quarantine) and interceptors carry per-run mutable state; both
-	// keep the synchronous dispatch. So does every non-lockstep
-	// strategy (strat.pipelineOK): divergent orders checks against its
-	// private memory image, chunk replay and relaxed start defer
-	// dispatch past segment close.
+	// settle checks synchronously. So does every non-lockstep strategy:
+	// divergent orders checks against its private memory image, chunk
+	// replay and relaxed start dispatch past segment close.
 	s.pipelined = len(cfg.Checkers) > 0 && !cfg.Recovery.Enabled &&
 		cfg.CheckerInterceptor == nil && cfg.MainInterceptor == nil &&
-		s.strat.pipelineOK()
+		cfg.ResolvedStrategy() == StrategyLockstep
 	divergent := cfg.ResolvedStrategy() == StrategyDivergent
 
 	laneIdx := 0
@@ -451,7 +443,7 @@ func (s *System) runSegment(l *lane) error {
 	l.segDegraded = false
 
 	if s.checking() {
-		ck, resumeAtNS = s.strat.acquire(s, l, now)
+		ck, resumeAtNS = s.acquire(l, now)
 	}
 
 	if l.div != nil {
@@ -539,9 +531,9 @@ func (s *System) runSegment(l *lane) error {
 
 	if !l.segChecked {
 		// An unchecked window breaks the contiguous instruction stream a
-		// deferred-work strategy accumulates: flush the pending chunk
-		// before accounting the gap (no-op for per-segment strategies).
-		s.strat.finish(s, l)
+		// replay chunk accumulates: flush the pending chunk before
+		// accounting the gap.
+		s.flushChunk(l)
 		l.res.UncheckedInsts += l.segInsts
 		s.metrics.SegmentsUnchecked++
 		if l.segDegraded {
@@ -586,7 +578,11 @@ func (s *System) runSegment(l *lane) error {
 	s.metrics.SegmentsChecked++
 	s.metrics.InstsChecked += seg.Insts
 
-	s.strat.dispatch(s, l, ck, seg)
+	if l.chunk != nil {
+		s.chunkAppend(l, seg)
+	} else {
+		s.dispatch(l, ck, seg)
+	}
 	s.flows.refresh(s.mesh, endNS)
 	s.maybeSnapshotWarm(l)
 	if reason == BoundaryHalt {
@@ -602,9 +598,9 @@ func (s *System) maybeSnapshotWarm(l *lane) {
 		return
 	}
 	// Checker statistics for segments dispatched during warmup belong to
-	// the warmup window: flush any deferred strategy work and join any
+	// the warmup window: flush any pending replay chunk and join any
 	// pending checks before snapshotting.
-	s.strat.finish(s, l)
+	s.flushChunk(l)
 	s.forceAll(l)
 	l.warmed = true
 	w := warmSnapshot{
@@ -706,126 +702,14 @@ func (s *System) accountEffect(l *lane, eff *emu.Effect, budget int64, resumeAtN
 	}
 }
 
-// dispatch schedules seg on checker ck: models the NoC transfer, runs the
-// checker's functional verification feeding its timing model, and records
-// the outcome. Under the deferred-join protocol the verification is
-// handed to dispatchPipelined, which merges its shared-state effects
-// later; recovery, fault-injection and non-lockstep runs keep this
-// synchronous path.
-func (s *System) dispatch(l *lane, ck *Checker, seg *Segment) {
-	if s.pipelined {
-		s.dispatchPipelined(l, ck, seg)
-		return
-	}
-	// A synchronous check runs inline at its dispatch point, so exactly
-	// one check is ever in flight.
-	s.metrics.CheckQueueDepth.Observe(1)
-	// NoC traffic: the log lines plus start/end register checkpoints.
-	xferBytes := float64(seg.LogBytes) + 2*float64(l.rcu.CheckpointTransferBytes())
-	if s.cfg.LSLTrafficOnNoC {
-		s.flows.add(l.pos, ck.Pos, xferBytes)
-	}
-	lineLatNS := s.mesh.LatencyNS(l.pos, ck.Pos, LineBytes)
-
-	var startNS float64
-	if s.cfg.EagerWake {
-		// The checker starts as soon as the first line lands
-		// (section IV-H); it cannot run past pushed lines, which shows
-		// up as the completion floor below.
-		startNS = math.Max(seg.StartNS+lineLatNS, ck.FreeAtNS)
-	} else {
-		startNS = math.Max(seg.EndNS+lineLatNS, ck.FreeAtNS)
-	}
-
-	// The log lines land in the checker's repurposed L1D, evicting any
-	// resident data in place (fig. 3).
-	if s.cfg.DedicatedLSLBytes == 0 {
-		for i := 0; i < seg.LogLines; i++ {
-			ck.Core.Hier.L1D.LogAppendLine()
-		}
-	}
-
-	ck.Core.AdvanceTo(startNS * ck.FreqGHz)
-	c0 := ck.Core.Cycles()
-	var intc emu.Interceptor
-	if s.cfg.CheckerInterceptor != nil {
-		intc = s.cfg.CheckerInterceptor(l.idx, ck.ID)
-	}
-	var res CheckResult
-	if l.div != nil {
-		res = CheckSegmentDivergent(l.proc.plan, l.div.mem, seg, intc, func(e *emu.Effect) {
-			ck.Core.Consume(e)
-		})
-		s.metrics.SegmentsCheckedDivergent++
-		for _, m := range res.Mismatches {
-			if m.Kind == MismatchLoadData {
-				s.metrics.DivergentDataMismatches++
-			}
-		}
-	} else {
-		res = CheckSegment(l.proc.w.Prog, seg, s.cfg.HashMode, intc, func(e *emu.Effect) {
-			ck.Core.Consume(e)
-		})
-	}
-	durNS := (ck.Core.Cycles() - c0) / ck.FreqGHz
-	doneNS := startNS + durNS
-	if s.cfg.EagerWake {
-		// The check cannot finish before the final line and end
-		// checkpoint arrive.
-		if floor := seg.EndNS + lineLatNS; doneNS < floor {
-			doneNS = floor
-		}
-	}
-	ck.FreeAtNS = doneNS
-	// Energy accrues only while computing; a checker that outpaces the
-	// arriving log lines sleeps (section IV-H) and is treated as gated.
-	ck.BusyNS += durNS
-	ck.Insts += res.Insts
-	ck.Segments++
-
-	// The LSL$ lines are freed at checkpoint end (section IV-F
-	// footnote 12).
-	ck.Core.Hier.L1D.LogReset()
-
-	s.metrics.CheckLatencyNS.Observe(uint64(durNS + 0.5))
-	s.traceCheck(l, ck, seg, startNS, durNS)
-
-	if res.Detected() {
-		s.metrics.SegmentsMismatched++
-		l.res.Detections++
-		if l.res.FirstDetectionInst < 0 {
-			l.res.FirstDetectionInst = l.executed
-		}
-		if room := sampleMismatchCap - len(l.res.SampleMismatches); room > 0 {
-			mm := res.Mismatches
-			if len(mm) > room {
-				mm = mm[:room]
-			}
-			l.res.SampleMismatches = append(l.res.SampleMismatches, mm...)
-		}
-	}
-
-	if s.recovering() {
-		s.observe(l, ck, seg.Insts, res.Detected())
-		if res.Detected() {
-			s.recover(l, ck, seg, doneNS)
-		} else {
-			// The segment is verified clean: retain it as probation
-			// material and let probation checkers shadow-check it.
-			s.retainProbationSeg(l, seg)
-			s.shadowCheck(l, seg, doneNS)
-		}
-	}
-}
-
 func (s *System) finishLane(l *lane) {
 	if l.done {
 		return
 	}
-	// Drain any deferred strategy work (a tail chunk) before reading the
-	// lane's statistics; a flush may stall the main core, which belongs
-	// in the lane's reported time.
-	s.strat.finish(s, l)
+	// Flush a tail replay chunk before reading the lane's statistics; a
+	// flush may stall the main core, which belongs in the lane's
+	// reported time.
+	s.flushChunk(l)
 	l.done = true
 	l.res.Insts = uint64(l.executed)
 	l.res.TimeNS = l.main.TimeNS()

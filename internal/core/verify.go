@@ -139,8 +139,9 @@ func (cs *CheckScratch) CheckSegmentBlocks(prog *isa.Program, seg *Segment, hash
 	return res
 }
 
-// CheckSegment is the scratch-free convenience form (one-shot callers,
-// fault-injection paths); hot paths hold a CheckScratch instead.
+// CheckSegment is the scratch-free convenience form for one-shot
+// callers (tools and tests); the simulator's checkers each hold a
+// CheckScratch instead.
 func CheckSegment(prog *isa.Program, seg *Segment, hashMode bool, intc emu.Interceptor, sink func(*emu.Effect)) CheckResult {
 	var cs CheckScratch
 	return cs.CheckSegment(prog, seg, hashMode, intc, sink)

@@ -51,7 +51,6 @@ var fingerprintedConfigFields = map[string]bool{
 	"HashMode":               true,
 	"Divergent":              true,
 	"Strategy":               true,
-	"StrategyTuning":         true,
 	"EagerWake":              true,
 	"TimeoutInsts":           true,
 	"DedicatedLSLBytes":      true,
@@ -124,7 +123,6 @@ var fingerprintedNestedFields = map[string]map[string]bool{
 	"core.LaneMain":         {"CPU": true, "FreqGHz": true},
 	"core.CheckerSpec":      {"CPU": true, "FreqGHz": true, "Count": true},
 	"core.DivergentConfig":  {"DataShiftBytes": true, "RegSeed": true},
-	"core.StrategyConfig":   {"ChunkInsts": true, "MaxLagSegments": true},
 	"core.RecoveryConfig":   {"Enabled": true, "MaxReplays": true, "ForensicRounds": true, "Quarantine": true},
 	"core.QuarantinePolicy": {"CooldownNS": true, "ProbationChecks": true, "MaxOffenses": true},
 	"cpu.FU":                {"Count": true, "Latency": true, "InitInterval": true},
@@ -146,12 +144,11 @@ func writeConfig(w io.Writer, cfg *core.Config) {
 		cfg.Mode, cfg.HashMode, cfg.EagerWake, cfg.TimeoutInsts,
 		cfg.DedicatedLSLBytes, cfg.CheckpointStallCycles, cfg.CheckpointDrains)
 	// The decorrelation parameters that shape the divergent variant,
-	// and the verification strategy with its tuning. The strategy hashes
+	// and the verification strategy. The strategy hashes
 	// in resolved form so an explicit StrategyLockstep and the Auto
 	// default (which resolves to it) share one cache entry — they are
 	// the same simulation.
-	fmt.Fprintf(w, "divergent=%+v strategy=%v tuning=%+v\n",
-		cfg.Divergent, cfg.ResolvedStrategy(), cfg.StrategyTuning)
+	fmt.Fprintf(w, "divergent=%+v strategy=%v\n", cfg.Divergent, cfg.ResolvedStrategy())
 	// 11-12: interrupt and sampling policy.
 	fmt.Fprintf(w, "irq=%v sample=%v\n", cfg.InterruptIntervalInsts, cfg.SamplePeriod)
 	// 13-15: mesh, layout (dereferenced), LSL traffic accounting.

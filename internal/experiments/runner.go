@@ -11,8 +11,9 @@
 // Concurrency safety: core.Run builds a private System — mesh, LLC,
 // DRAM model, per-lane cores and machines — per call, so concurrent
 // independent runs never share mutable state. The shared inputs are
-// read-only: *isa.Program (the emulator copies the data segment into a
-// fresh Memory per machine; instruction slices are never written),
+// read-only: *isa.Program (each machine's Memory reads the data segment
+// in place and copies a page only when a run writes it; instruction
+// slices are never written),
 // cpu.Config values (FU maps are only read), and *noc.Layout (only
 // read). The fault campaign engine (internal/fault) established this
 // fan-out pattern; the engine here extends it to every experiment.

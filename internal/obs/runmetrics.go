@@ -57,9 +57,10 @@ type RunMetrics struct {
 	Readmissions     uint64
 	Retirements      uint64
 
-	// CheckQueueDepth samples, at each dispatch, how many checks are
-	// in flight (dispatched but unjoined) on the lane's pool, this one
-	// included; CheckLatencyNS the per-check compute duration.
+	// CheckQueueDepth samples, at each dispatch, how many checks on the
+	// lane's pool are not finished when the segment's checkpoint
+	// closes, this one included: the checker backlog. CheckLatencyNS is
+	// the per-check compute duration.
 	CheckQueueDepth Hist
 	CheckLatencyNS  Hist
 
