@@ -11,11 +11,12 @@
 // The fuzz experiment runs the verifier-screened differential program
 // fuzzer (-fuzz-seeds seeds of ~-fuzz-insts instructions, streamed
 // from -seed): every generated program must pass the abstract
-// interpreter's screening, then execute identically on the
-// per-instruction and block-compiled emulators, verify clean under
-// every checker strategy (divergent included), and render identically
-// without a SpecCache, recording into one, and replaying from it. Any
-// disagreement exits 1 with a minimized reproduction. Output is
+// interpreter's screening, then keep its proofs on a real run (no hart
+// past the proved instruction bound, every load and store inside its
+// proved address interval), verify clean under every checker strategy
+// (divergent included), and render identically without a SpecCache,
+// recording into one, and replaying from it. Any failure exits 1 with
+// a minimized reproduction. Output is
 // byte-identical at any -j setting. Fuzz runs bypass the shared result
 // cache.
 //

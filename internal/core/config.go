@@ -38,17 +38,6 @@ func (m Mode) String() string {
 	}
 }
 
-// DivergentConfig tunes the decorrelated variant the divergent strategy
-// builds for each workload.
-type DivergentConfig struct {
-	// DataShiftBytes relocates the variant's data segment (0 = automatic:
-	// clears the original window and sets address bits at several
-	// power-of-two strides). Must be 4KiB-aligned when set.
-	DataShiftBytes uint64
-	// RegSeed seeds the register-allocation permutation (0 behaves as 1).
-	RegSeed uint64
-}
-
 // LaneMain overrides one lane's main-core model.
 type LaneMain struct {
 	CPU     cpu.Config
@@ -131,8 +120,6 @@ type Config struct {
 
 	Mode     Mode
 	HashMode bool
-	// Divergent tunes the decorrelated variant (StrategyDivergent only).
-	Divergent DivergentConfig
 	// Strategy selects the segment-verification strategy (strategy.go):
 	// scheduling granularity, the comparison domain (identical replay or
 	// a decorrelated variant), and how checker acquisition couples to
@@ -281,9 +268,6 @@ func (c *Config) Validate() error {
 			if c.HashMode {
 				return fmt.Errorf("core: divergent strategy is incompatible with Hash Mode (the digest absorbs raw addresses)")
 			}
-		}
-		if c.Divergent.DataShiftBytes%4096 != 0 {
-			return fmt.Errorf("core: divergent data shift %#x not 4KiB-aligned", c.Divergent.DataShiftBytes)
 		}
 	case StrategyChunkReplay:
 		if len(c.Checkers) > 0 {

@@ -32,13 +32,11 @@ type DivergentPlan struct {
 	shift          uint64
 }
 
-// NewDivergentPlan decorrelates prog and proves the variant equivalent
-// (verify.EquivalentVariant) before any segment is checked against it.
-func NewDivergentPlan(prog *isa.Program, cfg DivergentConfig) (*DivergentPlan, error) {
-	v, err := asm.Decorrelate(prog, asm.DecorrelateOptions{
-		DataShiftBytes: cfg.DataShiftBytes,
-		RegSeed:        cfg.RegSeed,
-	})
+// NewDivergentPlan decorrelates prog with the default options and
+// proves the variant equivalent (verify.EquivalentVariant) before any
+// segment is checked against it.
+func NewDivergentPlan(prog *isa.Program) (*DivergentPlan, error) {
+	v, err := asm.Decorrelate(prog, asm.DecorrelateOptions{})
 	if err != nil {
 		return nil, err
 	}

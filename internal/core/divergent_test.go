@@ -68,7 +68,7 @@ func TestDivergentConfigValidation(t *testing.T) {
 // options, for the unit tests below.
 func planFor(t *testing.T) *DivergentPlan {
 	t.Helper()
-	plan, err := NewDivergentPlan(mixedProgram(100), DivergentConfig{})
+	plan, err := NewDivergentPlan(mixedProgram(100))
 	if err != nil {
 		t.Fatal(err)
 	}

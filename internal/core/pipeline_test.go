@@ -182,31 +182,13 @@ func benchSegment(b *testing.B) (*isa.Program, *Segment) {
 	return prog, seg
 }
 
-// BenchmarkCheckSegment measures one checker-side segment replay on
-// the block-compiled library path (CheckSegmentBlocks): a
-// 2000-instruction mixed segment verified end to end with batched
-// effect delivery.
+// BenchmarkCheckSegment measures one checker-side segment replay: a
+// 2000-instruction mixed segment verified end to end through
+// CheckSegment, one effect at a time.
 func BenchmarkCheckSegment(b *testing.B) {
 	prog, seg := benchSegment(b)
 	// The scratch lives outside the loop exactly as each Checker holds
 	// one across segments: steady-state verification allocates nothing.
-	var cs CheckScratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := cs.CheckSegmentBlocks(prog, seg, false, nil)
-		if res.Detected() {
-			b.Fatalf("benchmark segment failed verification: %+v", res.Mismatches)
-		}
-	}
-	b.ReportMetric(float64(seg.Insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
-}
-
-// BenchmarkCheckSegmentStep is the per-instruction path the simulator
-// runs: the same segment verified through CheckSegment one effect at a
-// time.
-func BenchmarkCheckSegmentStep(b *testing.B) {
-	prog, seg := benchSegment(b)
 	var cs CheckScratch
 	b.ReportAllocs()
 	b.ResetTimer()

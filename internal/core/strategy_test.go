@@ -53,10 +53,6 @@ func TestStrategyValidation(t *testing.T) {
 			c.Strategy = StrategyDivergent
 			c.HashMode = true
 		}, "divergent strategy is incompatible with Hash Mode"},
-		{"divergent-unaligned-shift", func(c *Config) {
-			c.Strategy = StrategyDivergent
-			c.Divergent.DataShiftBytes = 100
-		}, "not 4KiB-aligned"},
 		{"chunk-replay-opportunistic", func(c *Config) {
 			c.Strategy = StrategyChunkReplay
 			c.Mode = ModeOpportunistic

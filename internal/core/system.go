@@ -243,7 +243,7 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 				// verified store stream; cross-hart stores would bypass it.
 				return nil, fmt.Errorf("core: workload %q: divergent checking requires single-hart programs (got %d harts)", w.Name, len(mach.Harts))
 			}
-			p.plan, err = NewDivergentPlan(w.Prog, cfg.Divergent)
+			p.plan, err = NewDivergentPlan(w.Prog)
 			if err != nil {
 				return nil, fmt.Errorf("core: workload %q: %w", w.Name, err)
 			}

@@ -43,10 +43,6 @@ type CheckScratch struct {
 	// closure defeat escape analysis: a stack local would heap-allocate
 	// once per check.
 	eff emu.Effect
-	// batch is CheckSegmentBlocks' effect buffer, allocated on first use
-	// so the simulator's own checkers, which replay per instruction, pay
-	// nothing for it.
-	batch []emu.Effect
 }
 
 // CheckSegment replays one segment on a checker: re-executes the
@@ -71,72 +67,21 @@ func (cs *CheckScratch) CheckSegment(prog *isa.Program, seg *Segment, hashMode b
 	return runCheck(prog, &cs.hart, seg, nil, &cs.env, &cs.lsc, &cs.rcu, intc, sink, &cs.eff)
 }
 
-// effectBatchSize is CheckSegmentBlocks' batch capacity, in effects.
-const effectBatchSize = 256
-
-// CheckSegmentBlocks is CheckSegment over the block-compiled executor:
-// the replay runs whole basic blocks at a time (emu.Hart.RunBlocks)
-// against the log-serving CheckerEnv, delivering effects to batchSink a
-// batch at a time instead of one callback per instruction. The verdict
-// mapping is identical to runCheck's — a halt short of the checkpointed
-// count or any replay error is a divergence, log exhaustion is its own
-// mismatch kind, and the induction checks (end register file, digest or
-// leftover log) are unchanged. The simulator replays through
-// CheckSegment; this block-compiled form is a library entry point kept
-// for the layer probes of the benchmark, which verify clean segments
-// through both. Interceptors are unsupported here.
+// CheckSegmentBlocks is CheckSegment without an interceptor that hands
+// batchSink, when non-nil, each replayed effect as a one-element batch.
 //
-//paralint:hotpath
+// Deprecated: CheckSegmentBlocks is kept for the benchmark harness's
+// layer probes; no simulation batches effects. Use CheckSegment.
 func (cs *CheckScratch) CheckSegmentBlocks(prog *isa.Program, seg *Segment, hashMode bool, batchSink func([]emu.Effect)) CheckResult {
-	if cs.batch == nil {
-		cs.batch = make([]emu.Effect, effectBatchSize) //paralint:allow(one-time lazy buffer, reused across segments)
-	}
-	cs.lsc.Mismatches = nil
-	cs.lsc.Compares = 0
-	buf := cs.rcu.hasher.buf[:0]
-	cs.rcu = RCU{hashMode: hashMode, hasher: hashState{buf: buf}}
-	cs.env = CheckerEnv{logCursor: logCursor{seg: seg}, lsc: &cs.lsc, rcu: &cs.rcu}
-	cs.hart = emu.Hart{ID: seg.Hart, State: seg.Start}
-
-	res := CheckResult{}
-	dec, bt := prog.Decoded(), prog.Blocks()
-	for res.Insts < seg.Insts {
-		if cs.hart.Halted {
-			cs.lsc.record(Mismatch{Kind: MismatchDivergence, EntryIdx: cs.env.pos()})
-			break
-		}
-		fuel := len(cs.batch)
-		if r := seg.Insts - res.Insts; uint64(fuel) > r {
-			fuel = int(r)
-		}
-		n, err := cs.hart.RunBlocks(dec, bt, &cs.env, cs.batch, fuel)
-		res.Insts += uint64(n)
-		if batchSink != nil && n > 0 {
-			batchSink(cs.batch[:n])
-		}
-		if err != nil {
-			if errors.Is(err, errLogExhausted) {
-				cs.lsc.record(Mismatch{Kind: MismatchLogExhausted, EntryIdx: cs.env.pos()})
-			} else {
-				cs.lsc.record(Mismatch{Kind: MismatchDivergence, EntryIdx: cs.env.pos()})
-			}
-			break
+	var sink func(*emu.Effect)
+	if batchSink != nil {
+		var one [1]emu.Effect
+		sink = func(e *emu.Effect) {
+			one[0] = *e
+			batchSink(one[:])
 		}
 	}
-
-	if res.Insts == seg.Insts && !cs.rcu.Compare(&seg.End, &cs.hart.State) {
-		cs.lsc.record(Mismatch{Kind: MismatchRegFile, EntryIdx: cs.env.pos()})
-	}
-	if cs.rcu.HashMode() {
-		if got := cs.rcu.Digest(); got != seg.Digest {
-			cs.lsc.record(Mismatch{Kind: MismatchHash, EntryIdx: cs.env.pos()})
-		}
-	} else if res.Insts == seg.Insts && !cs.env.Consumed() {
-		cs.lsc.record(Mismatch{Kind: MismatchLogUnconsumed, EntryIdx: cs.env.pos()})
-	}
-	res.Mismatches = cs.lsc.Mismatches
-	res.OK = len(res.Mismatches) == 0
-	return res
+	return cs.CheckSegment(prog, seg, hashMode, nil, sink)
 }
 
 // CheckSegment is the scratch-free convenience form for one-shot

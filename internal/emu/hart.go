@@ -69,13 +69,6 @@ type Hart struct {
 	State   ArchState
 	Instret uint64
 	Halted  bool
-
-	// pcache is the hart's one-entry page cache, used by the
-	// block-compiled execution path (RunBlocks) to serve page-local
-	// memory accesses without the Memory map lookup. Purely a cache:
-	// it never holds architectural state, so snapshots and restores
-	// ignore it.
-	pcache PageCache
 }
 
 // NewHart returns a hart with its stack pointer initialised.
@@ -111,7 +104,7 @@ func (h *Hart) StepDecoded(dec []isa.DecInst, env Env, intc Interceptor, eff *Ef
 	d := &dec[pc]
 	in := d.Inst
 
-	// Field-wise reset, matching RunBlocks: a whole-struct assignment
+	// Field-wise reset: a whole-struct assignment
 	// would clear the 128-byte Mem array too, which costs a duffcopy per
 	// instruction for bytes every consumer already guards behind NMem.
 	eff.PC = pc

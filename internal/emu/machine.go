@@ -73,8 +73,7 @@ type Machine struct {
 	Mem   *Memory
 	Harts []*Hart
 	Env   []*MainEnv
-	dec   []isa.DecInst   // Prog's predecode table, resolved once
-	bt    *isa.BlockTable // Prog's basic-block table, resolved once
+	dec   []isa.DecInst // Prog's predecode table, resolved once
 
 	// Quantum is how many instructions one hart runs before control
 	// rotates. Zero means 1.
@@ -93,7 +92,7 @@ func NewMachine(prog *isa.Program, seed uint64) (*Machine, error) {
 		return nil, fmt.Errorf("emu: %w", err)
 	}
 	mem := NewProgramMemory(prog)
-	m := &Machine{Prog: prog, Mem: mem, dec: prog.Decoded(), bt: prog.Blocks()}
+	m := &Machine{Prog: prog, Mem: mem, dec: prog.Decoded()}
 	for i, entry := range prog.Entries {
 		h := NewHart(i, entry)
 		h.State.X[isa.GP] = prog.DataBase
@@ -118,16 +117,15 @@ func (m *Machine) StepHart(i int, eff *Effect) error {
 	return m.Harts[i].StepDecoded(m.dec, m.Env[i], m.Intc, eff)
 }
 
-// RunBlocks executes up to fuel instructions on hart i through the
-// block-compiled path, filling batch[:n] with one effect per executed
-// instruction (see Hart.RunBlocks for the stop conditions). When a
-// fault interceptor is installed the block path is unsound — it has no
-// corruption hooks — so execution falls back to per-instruction
-// stepping with identical batch semantics.
+// RunBlocks executes up to fuel instructions (further clamped to
+// len(batch)) on hart i, filling batch[:n] with one effect per executed
+// instruction. It stops early after a HALT retires (the halt's effect
+// is the last in the batch) or on an error, in which case, exactly like
+// StepHart, the failing instruction does not retire and is not counted.
+//
+// Deprecated: RunBlocks is a StepHart loop kept for the benchmark
+// harness's layer probes; no simulation batches effects. Use StepHart.
 func (m *Machine) RunBlocks(i int, batch []Effect, fuel int) (int, error) {
-	if m.Intc == nil {
-		return m.Harts[i].RunBlocks(m.dec, m.bt, m.Env[i], batch, fuel)
-	}
 	if fuel > len(batch) {
 		fuel = len(batch)
 	}

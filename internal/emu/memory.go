@@ -45,11 +45,6 @@ type Memory struct {
 	lastPN   uint64
 	lastPage *page
 	lastRO   bool
-	// gen counts every event that changes page identity: page creation
-	// and the copy of a base page on its first write. External page
-	// caches (PageCache) compare it to detect that a raw *page pointer
-	// they hold may be stale or no longer writable.
-	gen uint64
 }
 
 // NewMemory returns an empty memory.
@@ -130,7 +125,6 @@ func (m *Memory) pageForWrite(addr uint64) *page {
 			p = new(page)
 			*p = *(*page)(m.base[i<<pageBits:])
 			m.seg[i] = p
-			m.gen++
 		}
 	} else if p = m.pages[pn]; p == nil {
 		if m.pages == nil {
@@ -138,7 +132,6 @@ func (m *Memory) pageForWrite(addr uint64) *page {
 		}
 		p = new(page)
 		m.pages[pn] = p
-		m.gen++
 	}
 	m.lastPN, m.lastPage, m.lastRO = pn, p, false
 	return p

@@ -167,36 +167,26 @@ func TestMachineSharedMatchesPrivate(t *testing.T) {
 }
 
 // TestMachineLeavesProgramDataUntouched: a run storing to every segment
-// page, through both the per-instruction and the block-compiled path,
-// leaves prog.Data byte-equal to a copy taken before, for a segment
-// ending in a full page and one ending in a partial tail page.
+// page leaves prog.Data byte-equal to a copy taken before, for a
+// segment ending in a full page and one ending in a partial tail page.
 func TestMachineLeavesProgramDataUntouched(t *testing.T) {
 	for _, dataLen := range []int{3 * pageSize, 3*pageSize + 100} {
 		prog, offs := segProgram(dataLen)
 		orig := append([]byte(nil), prog.Data...)
-		for _, blocks := range []bool{false, true} {
-			m, err := NewMachine(prog, 1)
-			if err != nil {
-				t.Fatal(err)
+		m, err := NewMachine(prog, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(0, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range offs {
+			if got, _ := m.Mem.Load(prog.DataBase+off, 8); got != off+2 {
+				t.Errorf("len %d: word %#x = %d, want %d", dataLen, off, got, off+2)
 			}
-			if blocks {
-				batch := make([]Effect, 64)
-				for m.Running() {
-					if _, err := m.RunBlocks(0, batch, len(batch)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			} else if _, err := m.Run(0, nil); err != nil {
-				t.Fatal(err)
-			}
-			for _, off := range offs {
-				if got, _ := m.Mem.Load(prog.DataBase+off, 8); got != off+2 {
-					t.Errorf("len %d blocks=%v: word %#x = %d, want %d", dataLen, blocks, off, got, off+2)
-				}
-			}
-			if !bytes.Equal(prog.Data, orig) {
-				t.Fatalf("len %d blocks=%v: run wrote the program's Data", dataLen, blocks)
-			}
+		}
+		if !bytes.Equal(prog.Data, orig) {
+			t.Fatalf("len %d: run wrote the program's Data", dataLen)
 		}
 	}
 }

@@ -8,9 +8,14 @@ import (
 	"paraverser/internal/isa"
 )
 
+// The tests in this file pin Machine.RunBlocks, the batched entry point
+// the benchmark harness still calls, to per-instruction stepping: same
+// effects, same state, same memory image, same error placement, and no
+// more instructions than the fuel allows.
+
 // canonEffect zeroes the fields whose meaning is guarded by another
-// field (Mem entries beyond NMem may hold stale bytes on the batched
-// path, matching the effIter replay convention) so the two execution
+// field (Mem entries beyond NMem may hold stale bytes from an earlier
+// batch, matching the effIter replay convention) so the two execution
 // paths can be compared for bit-identity on everything consumers read.
 func canonEffect(e *Effect) {
 	for i := e.NMem; i < MaxMemOps; i++ {
@@ -122,7 +127,8 @@ func randProgram(seed int64, n int) *isa.Program {
 // program: machine B executes through RunBlocks in randomly sized
 // batches, machine A steps the same instruction counts one at a time,
 // and after every batch the architectural state, instret, halt flags,
-// effects and full memory image must be bit-identical. Errors must
+// effects and full memory image must be bit-identical. A batch may not
+// exceed its fuel and ends early only at a HALT or an error; errors must
 // occur at the same instruction with the same message.
 func runBlocksDifferential(t *testing.T, prog *isa.Program, seed uint64, limit int, chunkSeed int64) {
 	t.Helper()
@@ -144,30 +150,33 @@ func runBlocksDifferential(t *testing.T, prog *isa.Program, seed uint64, limit i
 			fuel = rem
 		}
 		n, berr := mb.RunBlocks(0, batch, fuel)
+		if n > fuel || (n < fuel && berr == nil && !mb.Harts[0].Halted) {
+			t.Fatalf("inst %d: batch ran %d of fuel %d with no halt or error", executed, n, fuel)
+		}
 		for i := 0; i < n; i++ {
 			if serr := ma.StepHart(0, &eff); serr != nil {
-				t.Fatalf("inst %d: step path errored (%v) where block path did not", executed+i, serr)
+				t.Fatalf("inst %d: step path errored (%v) where RunBlocks did not", executed+i, serr)
 			}
 			canonEffect(&eff)
 			canonEffect(&batch[i])
 			if !reflect.DeepEqual(eff, batch[i]) {
-				t.Fatalf("inst %d: effect mismatch\nstep:  %+v\nblock: %+v", executed+i, eff, batch[i])
+				t.Fatalf("inst %d: effect mismatch\nstep:  %+v\nbatch: %+v", executed+i, eff, batch[i])
 			}
 		}
 		executed += n
 		if berr != nil {
 			serr := ma.StepHart(0, &eff)
 			if serr == nil {
-				t.Fatalf("inst %d: block path errored (%v) where step path did not", executed, berr)
+				t.Fatalf("inst %d: RunBlocks errored (%v) where step path did not", executed, berr)
 			}
 			if serr.Error() != berr.Error() {
-				t.Fatalf("inst %d: error mismatch\nstep:  %v\nblock: %v", executed, serr, berr)
+				t.Fatalf("inst %d: error mismatch\nstep:  %v\nbatch: %v", executed, serr, berr)
 			}
 			break
 		}
 		ha, hb := ma.Harts[0], mb.Harts[0]
 		if ha.State != hb.State || ha.Instret != hb.Instret || ha.Halted != hb.Halted {
-			t.Fatalf("inst %d: state mismatch\nstep:  pc=%d instret=%d halted=%v\nblock: pc=%d instret=%d halted=%v",
+			t.Fatalf("inst %d: state mismatch\nstep:  pc=%d instret=%d halted=%v\nbatch: pc=%d instret=%d halted=%v",
 				executed, ha.State.PC, ha.Instret, ha.Halted, hb.State.PC, hb.Instret, hb.Halted)
 		}
 		if ha.State.X != hb.State.X || ha.State.F != hb.State.F {
@@ -190,7 +199,7 @@ func memEqual(t *testing.T, a, b *Memory) {
 		count++
 		want, ok := pagesA[base]
 		if !ok {
-			t.Errorf("block path mapped page %#x that step path did not", base)
+			t.Errorf("batched path mapped page %#x that step path did not", base)
 			return
 		}
 		if !reflect.DeepEqual(want, data) {
@@ -198,14 +207,13 @@ func memEqual(t *testing.T, a, b *Memory) {
 		}
 	})
 	if count != len(pagesA) {
-		t.Errorf("page counts differ: step %d, block %d", len(pagesA), count)
+		t.Errorf("page counts differ: step %d, batched %d", len(pagesA), count)
 	}
 }
 
-// TestRunBlocksEquivalenceRandom is the emu half of the PR 8
-// differential gate: seeded random branchy programs executed through
-// the block-compiled path must match per-instruction stepping bit for
-// bit — state, effects, memory image, and error placement.
+// TestRunBlocksEquivalenceRandom: seeded random branchy programs
+// executed through RunBlocks must match per-instruction stepping bit
+// for bit — state, effects, memory image, and error placement.
 func TestRunBlocksEquivalenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		prog := randProgram(seed, 400)
@@ -216,15 +224,15 @@ func TestRunBlocksEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestRunBlocksEquivalenceBenchLoop pins the differential gate on the
+// TestRunBlocksEquivalenceBenchLoop pins the differential on the
 // page-local mixed loop the micro-benchmarks run.
 func TestRunBlocksEquivalenceBenchLoop(t *testing.T) {
 	b := benchLoopMachine(t)
 	runBlocksDifferential(t, b.Prog, 1, 30000, 99)
 }
 
-// TestRunBlocksAfterHalt: calling into the block path on a halted hart
-// fails exactly like StepDecoded.
+// TestRunBlocksAfterHalt: a batch stops at the HALT, and calling
+// RunBlocks on a halted hart fails exactly like StepDecoded.
 func TestRunBlocksAfterHalt(t *testing.T) {
 	prog := &isa.Program{Name: "halt", Insts: []isa.Inst{{Op: isa.OpHALT}}, Entries: []uint64{0}}
 	m, err := NewMachine(prog, 1)
@@ -241,64 +249,8 @@ func TestRunBlocksAfterHalt(t *testing.T) {
 	}
 }
 
-// TestPageCacheAliasing: a PageCache holding a raw page pointer must
-// observe copy-on-write replacements made through a different path, and
-// must never scribble on a base page served from the program's Data.
-func TestPageCacheAliasing(t *testing.T) {
-	prog, offs := segProgram(2 * pageSize)
-	addr := prog.DataBase + offs[0]
-	mem := NewProgramMemory(prog)
-	var c1, c2 PageCache
-	if v, _ := c2.Load(mem, addr, 8); v != offs[0]+1 {
-		t.Fatalf("c2 initial load = %#x", v)
-	}
-	if v, _ := c1.Load(mem, addr, 8); v != offs[0]+1 {
-		t.Fatalf("c1 initial load = %#x", v)
-	}
-
-	// Write through c1, which cached the base page on its load: the
-	// write must land in a private copy, not the program's Data.
-	if err := c1.Store(mem, addr, 8, 0xB2); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := NewProgramMemory(prog).Load(addr, 8); v != offs[0]+1 {
-		t.Fatalf("program Data scribbled: %#x", v)
-	}
-	// The aliasing case proper: c2 cached the base page pointer; its
-	// next load must see the post-COW data, not the stale page.
-	if v, _ := c2.Load(mem, addr, 8); v != 0xB2 {
-		t.Fatalf("c2 read stale pre-COW page: %#x, want 0xB2", v)
-	}
-	// Cross-memory: the caches must miss on a different Memory even at
-	// the same page number.
-	m2 := NewProgramMemory(prog)
-	if v, _ := c1.Load(m2, addr, 8); v != offs[0]+1 {
-		t.Fatalf("c1 leaked across memories: %#x, want %#x", v, offs[0]+1)
-	}
-	// Cross-page write (outside the segment) replaces the entry; the
-	// original page rereads correctly afterwards.
-	if err := c1.Store(mem, 0x5000, 8, 0xC3); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := c1.Load(mem, addr, 8); v != 0xB2 {
-		t.Fatalf("after cross-page write: %#x, want 0xB2", v)
-	}
-	// Straddling accesses take the byte path but stay coherent, here
-	// across the boundary of two base pages.
-	straddle := prog.DataBase + pageSize - 4
-	if err := c1.Store(mem, straddle, 8, 0xDDEE_FF00_1122_3344); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := c1.Load(mem, straddle, 8); v != 0xDDEE_FF00_1122_3344 {
-		t.Fatalf("straddling readback: %#x", v)
-	}
-	if v, _ := m2.Load(straddle, 8); v == 0xDDEE_FF00_1122_3344 {
-		t.Fatal("straddling store reached a sibling memory")
-	}
-}
-
-// TestRunBlocksZeroAlloc pins the block-compiled hot path at zero heap
-// allocations per batch in steady state.
+// TestRunBlocksZeroAlloc pins RunBlocks at zero heap allocations per
+// batch in steady state.
 func TestRunBlocksZeroAlloc(t *testing.T) {
 	m := benchLoopMachine(t)
 	batch := make([]Effect, 256)
@@ -309,26 +261,5 @@ func TestRunBlocksZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("RunBlocks allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// BenchmarkRunBlock measures the block-compiled emulate path in
-// per-instruction terms: each iteration is one executed instruction
-// (batches of up to 256), directly comparable to BenchmarkHartStep.
-func BenchmarkRunBlock(b *testing.B) {
-	m := benchLoopMachine(b)
-	batch := make([]Effect, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		fuel := len(batch)
-		if rem := b.N - done; rem < fuel {
-			fuel = rem
-		}
-		n, err := m.RunBlocks(0, batch, fuel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		done += n
 	}
 }

@@ -37,10 +37,10 @@ func shippedWorkloadPrograms(t *testing.T) []*isa.Program {
 	return progs
 }
 
-// TestRunBlocksEquivalenceWorkloads is the workload half of the PR 8
-// differential gate (TestRunBlocksEquivalenceRandom covers adversarial
-// random programs): every shipped workload program AND its decorrelated
-// divergent-mode variant, executed through the block-compiled path in
+// TestRunBlocksEquivalenceWorkloads is the workload half of the
+// RunBlocks differential (TestRunBlocksEquivalenceRandom covers
+// adversarial random programs): every shipped workload program AND its
+// decorrelated divergent-mode variant, executed through RunBlocks in
 // randomly sized batches, must match per-instruction stepping bit for
 // bit — architectural state, effects, memory image, and error
 // placement.

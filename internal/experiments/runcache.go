@@ -49,7 +49,6 @@ var fingerprintedConfigFields = map[string]bool{
 	"Checkers":               true,
 	"Mode":                   true,
 	"HashMode":               true,
-	"Divergent":              true,
 	"Strategy":               true,
 	"EagerWake":              true,
 	"TimeoutInsts":           true,
@@ -122,7 +121,6 @@ var fingerprintedCPUFields = map[string]bool{
 var fingerprintedNestedFields = map[string]map[string]bool{
 	"core.LaneMain":         {"CPU": true, "FreqGHz": true},
 	"core.CheckerSpec":      {"CPU": true, "FreqGHz": true, "Count": true},
-	"core.DivergentConfig":  {"DataShiftBytes": true, "RegSeed": true},
 	"core.RecoveryConfig":   {"Enabled": true, "MaxReplays": true, "ForensicRounds": true, "Quarantine": true},
 	"core.QuarantinePolicy": {"CooldownNS": true, "ProbationChecks": true, "MaxOffenses": true},
 	"cpu.FU":                {"Count": true, "Latency": true, "InitInterval": true},
@@ -143,12 +141,10 @@ func writeConfig(w io.Writer, cfg *core.Config) {
 	fmt.Fprintf(w, "mode=%v hash=%v eager=%v timeout=%v dedlsl=%v ckpt=%v/%v\n",
 		cfg.Mode, cfg.HashMode, cfg.EagerWake, cfg.TimeoutInsts,
 		cfg.DedicatedLSLBytes, cfg.CheckpointStallCycles, cfg.CheckpointDrains)
-	// The decorrelation parameters that shape the divergent variant,
-	// and the verification strategy. The strategy hashes
-	// in resolved form so an explicit StrategyLockstep and the Auto
-	// default (which resolves to it) share one cache entry — they are
-	// the same simulation.
-	fmt.Fprintf(w, "divergent=%+v strategy=%v\n", cfg.Divergent, cfg.ResolvedStrategy())
+	// The verification strategy hashes in resolved form so an explicit
+	// StrategyLockstep and the Auto default (which resolves to it) share
+	// one cache entry — they are the same simulation.
+	fmt.Fprintf(w, "strategy=%v\n", cfg.ResolvedStrategy())
 	// 11-12: interrupt and sampling policy.
 	fmt.Fprintf(w, "irq=%v sample=%v\n", cfg.InterruptIntervalInsts, cfg.SamplePeriod)
 	// 13-15: mesh, layout (dereferenced), LSL traffic accounting.

@@ -1,10 +1,9 @@
 package isa
 
 // This file is the basic-block translation pass: the program is
-// partitioned once into single-entry straight-line blocks so the
-// emulator's block executor can hoist PC bounds checks, fuel accounting
-// and effect-batch bookkeeping out of the per-instruction loop. A block
-// is cut after every control-flow instruction (conditional branch, JAL,
+// partitioned once into single-entry straight-line blocks. No engine
+// executes blocks any more; the table stays because the benchmark
+// harness times its construction. A block is cut after every control-flow instruction (conditional branch, JAL,
 // JALR) and after HALT, and before every leader — an entry point or a
 // static branch/JAL target — so control can only ever enter a block at
 // its first instruction.
@@ -13,9 +12,8 @@ package isa
 // table indexed by pc: End[pc] is the exclusive end of the straight-line
 // block run beginning at pc, i.e. instructions [pc, End[pc]) execute
 // sequentially and only the last of them can be a control-flow
-// instruction or HALT. Indexing by every pc (not just leaders) lets the
-// executor resume mid-block after an interrupt boundary without a
-// leader lookup.
+// instruction or HALT. Indexing by every pc (not just leaders) lets a
+// consumer resume mid-block without a leader lookup.
 type BlockTable struct {
 	// End[pc] is the exclusive end of the block run starting at pc.
 	// Always > pc and <= NumInsts.

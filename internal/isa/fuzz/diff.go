@@ -1,21 +1,22 @@
 package fuzz
 
 import (
+	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
-	"strings"
 
 	"paraverser/internal/core"
 	"paraverser/internal/cpu"
 	"paraverser/internal/emu"
 	"paraverser/internal/isa"
+	"paraverser/internal/isa/verify"
 )
 
-// Divergence describes one differential mismatch: which engine pair (or
-// which system configuration) disagreed, and how.
+// Divergence describes one oracle failure: which stage disagreed, and
+// how.
 type Divergence struct {
-	Stage  string // "step-vs-blocks", "strategy:<name>", "spec"
+	// Stage is "step" (the reference run failed), "bound" or "memfact"
+	// (execution broke a verifier proof), "strategy:<name>" or "spec".
+	Stage  string
 	Detail string
 }
 
@@ -23,83 +24,63 @@ func (d *Divergence) Error() string {
 	return fmt.Sprintf("fuzz: %s: %s", d.Stage, d.Detail)
 }
 
-// archFingerprint flattens a machine's complete architectural outcome —
-// every hart's register file, PC, instret and halt flag plus a hash of
-// all resident memory — into a comparable string.
-func archFingerprint(m *emu.Machine) string {
-	var b strings.Builder
-	for i, h := range m.Harts {
-		fmt.Fprintf(&b, "hart%d pc=%d instret=%d halted=%v\nX=%x\nF=", i, h.State.PC, h.Instret, h.Halted, h.State.X)
-		for _, f := range h.State.F {
-			fmt.Fprintf(&b, "%x,", f)
-		}
-		b.WriteString("\n")
-	}
-	type pg struct {
-		base uint64
-		sum  uint64
-	}
-	var pages []pg
-	m.Mem.ForEachPage(func(base uint64, data []byte) {
-		h := fnv.New64a()
-		h.Write(data)
-		pages = append(pages, pg{base, h.Sum64()})
-	})
-	sort.Slice(pages, func(i, j int) bool { return pages[i].base < pages[j].base })
-	for _, p := range pages {
-		fmt.Fprintf(&b, "page %#x %016x\n", p.base, p.sum)
-	}
-	return b.String()
-}
-
-// dynLimit caps differential executions: screened programs carry a
-// proved MaxInsts, and anything past this is a screening failure, not
-// an engine test.
+// dynLimit caps the reference execution. Screening rejects a proved
+// MaxInsts above it, so a run that reaches it has broken its bound.
 const dynLimit = 1 << 20
 
-// runStep executes the program to halt on the per-instruction engine.
-func runStep(p *isa.Program, seed uint64) (*emu.Machine, error) {
+// checkProofs runs the program to halt on the per-instruction engine
+// and checks the verifier's proofs against what it did: no hart may
+// retire more instructions than the proved MaxInsts ("bound"), and every
+// load or store at a PC with a MemFact must fall inside the fact's
+// proved address interval ("memfact"; a "first" fact covers Mem[0], a
+// "second" fact Mem[1], an "effective" fact every access). It returns
+// the instructions retired across all harts.
+func checkProofs(p *isa.Program, rep *verify.Report, seed uint64) (uint64, *Divergence) {
+	facts := make([][]verify.MemFact, len(p.Insts))
+	for _, f := range rep.MemFacts {
+		facts[f.PC] = append(facts[f.PC], f)
+	}
 	m, err := emu.NewMachine(p, seed)
 	if err != nil {
-		return nil, err
+		return 0, &Divergence{Stage: "step", Detail: err.Error()}
 	}
-	if _, err := m.Run(dynLimit, nil); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// runBlocks executes the program to halt on the block-compiled engine.
-func runBlocks(p *isa.Program, seed uint64) (*emu.Machine, error) {
-	m, err := emu.NewMachine(p, seed)
-	if err != nil {
-		return nil, err
-	}
-	batch := make([]emu.Effect, 512)
-	total := 0
-	for m.Running() {
-		progressed := false
-		for i, h := range m.Harts {
-			if h.Halted {
-				continue
+	_, err = m.Run(dynLimit, func(hart int, eff *emu.Effect) error {
+		for _, f := range facts[eff.PC] {
+			lo, hi := 0, eff.NMem
+			switch f.What {
+			case "first":
+				hi = min(hi, 1)
+			case "second":
+				lo = 1
 			}
-			n, err := m.RunBlocks(i, batch, len(batch))
-			if err != nil {
-				return nil, err
-			}
-			total += n
-			if n > 0 {
-				progressed = true
-			}
-			if total > dynLimit {
-				return nil, emu.ErrLimit
+			for i := lo; i < hi; i++ {
+				if a := eff.Mem[i].Addr; !f.Addr.Contains(a) {
+					return &Divergence{Stage: "memfact",
+						Detail: fmt.Sprintf("hart %d pc %d (%s): %s address %#x outside the proved %s", hart, eff.PC, eff.Inst, f.What, a, f.Addr)}
+				}
 			}
 		}
-		if !progressed {
-			return nil, fmt.Errorf("fuzz: block engine made no progress")
-		}
+		return nil
+	})
+	var d *Divergence
+	switch {
+	case errors.As(err, &d):
+		return 0, d
+	case errors.Is(err, emu.ErrLimit):
+		return 0, &Divergence{Stage: "bound",
+			Detail: fmt.Sprintf("still running after %d instructions, proved bound %d per hart", dynLimit, rep.MaxInsts)}
+	case err != nil:
+		return 0, &Divergence{Stage: "step", Detail: err.Error()}
 	}
-	return m, nil
+	var total uint64
+	for i, h := range m.Harts {
+		if int64(h.Instret) > rep.MaxInsts {
+			return 0, &Divergence{Stage: "bound",
+				Detail: fmt.Sprintf("hart %d retired %d instructions, proved bound %d", i, h.Instret, rep.MaxInsts)}
+		}
+		total += h.Instret
+	}
+	return total, nil
 }
 
 // flattenResult mirrors the core package's determinism-test rendering:
@@ -124,30 +105,23 @@ func sysConfig(seed uint64, strat core.Strategy) core.Config {
 	return cfg
 }
 
-// Differential runs one screened program through every engine and
-// checker strategy and compares the outcomes. It returns nil when all
-// engines agree and every checker verdict is clean, or the first
-// divergence found. seed feeds the per-hart RAND streams identically in
-// every engine.
+// Differential verifies p and runs it through differential. It is the
+// entry point for callers that hold no verifier report.
 func Differential(p *isa.Program, seed uint64) *Divergence {
-	// 1. Per-instruction vs block-compiled functional engines: the full
-	// architectural outcome must be byte-identical.
-	stepM, err := runStep(p, seed)
-	if err != nil {
-		return &Divergence{Stage: "step", Detail: err.Error()}
-	}
-	blockM, err := runBlocks(p, seed)
-	if err != nil {
-		return &Divergence{Stage: "blocks", Detail: err.Error()}
-	}
-	stepFP, blockFP := archFingerprint(stepM), archFingerprint(blockM)
-	if stepFP != blockFP {
-		return &Divergence{Stage: "step-vs-blocks",
-			Detail: fmt.Sprintf("architectural state diverged:\n--- step ---\n%s--- blocks ---\n%s", stepFP, blockFP)}
-	}
-	var refInsts uint64
-	for _, h := range stepM.Harts {
-		refInsts += h.Instret
+	return differential(p, verify.Verify(p), seed)
+}
+
+// differential runs one screened program, whose verifier report is rep,
+// through the proof oracle and every checker strategy and compares the
+// outcomes. It returns nil when every proof holds and every checker
+// verdict is clean, or the first divergence found. seed feeds the
+// per-hart RAND streams identically in every run.
+func differential(p *isa.Program, rep *verify.Report, seed uint64) *Divergence {
+	// 1. The verifier's termination bound and address intervals must
+	// hold on a real execution.
+	refInsts, d := checkProofs(p, rep, seed)
+	if d != nil {
+		return d
 	}
 
 	// 2. Every checker strategy: each run must retire exactly the

@@ -47,21 +47,31 @@ type SeedReport struct {
 
 // Screen verifies a candidate: accepted iff the verifier reports no
 // errors and proves a termination bound within the differential
-// executor's budget.
+// executor's budget. It returns the proved bound.
 func Screen(p *isa.Program) (int64, error) {
+	rep, err := screen(p)
+	if err != nil {
+		return 0, err
+	}
+	return rep.MaxInsts, nil
+}
+
+// screen is Screen returning the whole verifier report, which the
+// differential's proof oracle checks against execution.
+func screen(p *isa.Program) (*verify.Report, error) {
 	rep := verify.Verify(p)
 	for _, f := range rep.Findings {
 		if f.Sev == verify.SevError {
-			return 0, fmt.Errorf("verifier error: %s", f)
+			return nil, fmt.Errorf("verifier error: %s", f)
 		}
 	}
 	if rep.MaxInsts <= 0 {
-		return 0, fmt.Errorf("no proved termination bound")
+		return nil, fmt.Errorf("no proved termination bound")
 	}
 	if rep.MaxInsts > dynLimit {
-		return 0, fmt.Errorf("proved bound %d exceeds differential budget %d", rep.MaxInsts, dynLimit)
+		return nil, fmt.Errorf("proved bound %d exceeds differential budget %d", rep.MaxInsts, dynLimit)
 	}
-	return rep.MaxInsts, nil
+	return rep, nil
 }
 
 // runSeed is one seed's full pipeline: generate, screen (with bounded
@@ -71,14 +81,15 @@ func runSeed(seed uint64, insts int) SeedReport {
 	cur := seed
 	var tmpl *Template
 	var prog *isa.Program
+	var vrep *verify.Report
 	for attempt := 1; ; attempt++ {
 		rep.Attempts = attempt
 		tmpl = Generate(cur, insts)
 		prog = tmpl.Program()
-		bound, err := Screen(prog)
-		if err == nil {
+		var err error
+		if vrep, err = screen(prog); err == nil {
 			rep.Seed = cur
-			rep.MaxInsts = bound
+			rep.MaxInsts = vrep.MaxInsts
 			break
 		}
 		if attempt >= maxScreenAttempts {
@@ -88,7 +99,7 @@ func runSeed(seed uint64, insts int) SeedReport {
 		cur = Mix(cur)
 	}
 	rep.Insts = len(prog.Insts)
-	if d := Differential(prog, rep.Seed); d != nil {
+	if d := differential(prog, vrep, rep.Seed); d != nil {
 		rep.Divergence = d
 		rep.Minimized = Minimize(tmpl, rep.Seed, d.Stage)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"paraverser/internal/isa"
+	"paraverser/internal/isa/verify"
 )
 
 // TestGeneratorDeterministic: the same seed must yield an identical
@@ -194,5 +195,37 @@ func TestEmitSubsetsSelfConsistent(t *testing.T) {
 	// And the empty subset: preamble + HALT alone.
 	if err := tmpl.Emit(make([]bool, n)).Validate(); err != nil {
 		t.Fatalf("empty subset fails validation: %v", err)
+	}
+}
+
+// TestProofOracleBites: stage 1 must reject a run that breaks either
+// proof — a termination bound below the retired count, or an address
+// interval that excludes an executed access.
+func TestProofOracleBites(t *testing.T) {
+	p := Generate(Mix(1), 200).Program()
+	rep, err := screen(p)
+	if err != nil {
+		t.Fatalf("fixture must screen clean: %v", err)
+	}
+	if d := differential(p, rep, 1); d != nil {
+		t.Fatalf("fixture diverged: %v", d)
+	}
+	if len(rep.MemFacts) == 0 {
+		t.Fatal("fixture has no memory facts")
+	}
+
+	short := *rep
+	short.MaxInsts = 1
+	if _, d := checkProofs(p, &short, 1); d == nil || d.Stage != "bound" {
+		t.Errorf("bound below the retired count: got %v, want a bound divergence", d)
+	}
+
+	wrong := *rep
+	wrong.MemFacts = append([]verify.MemFact(nil), rep.MemFacts...)
+	for i := range wrong.MemFacts {
+		wrong.MemFacts[i].Addr = verify.ConstVal(0)
+	}
+	if _, d := checkProofs(p, &wrong, 1); d == nil || d.Stage != "memfact" {
+		t.Errorf("intervals excluding every access: got %v, want a memfact divergence", d)
 	}
 }

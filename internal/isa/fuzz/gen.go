@@ -1,12 +1,12 @@
-// Package fuzz generates random-but-verifiable programs and executes
-// them differentially across every execution engine in the tree: the
-// per-instruction emulator, the block-compiled emulator, each checker
-// strategy of the full system model, and SpecCache record/replay.
-// Programs come out of a templated, seed-deterministic
-// generator over the full opcode set; the abstract-interpretation
-// verifier screens each candidate (no errors, a proved termination
-// bound) before any engine runs it, so a divergence is always an engine
-// bug, never an artefact of an ill-formed input.
+// Package fuzz generates random-but-verifiable programs, checks the
+// static verifier's proofs against a real run on the per-instruction
+// emulator, and executes them differentially across each checker
+// strategy of the full system model and SpecCache record/replay.
+// Programs come out of a templated, seed-deterministic generator over
+// the full opcode set; the abstract-interpretation verifier screens
+// each candidate (no errors, a proved termination bound) before any
+// engine runs it, so a divergence is always a verifier or engine bug,
+// never an artefact of an ill-formed input.
 package fuzz
 
 import (

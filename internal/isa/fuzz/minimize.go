@@ -20,10 +20,11 @@ func Minimize(t *Template, seed uint64, stage string) *isa.Program {
 	}
 	reproduces := func(m []bool) bool {
 		p := t.Emit(m)
-		if _, err := Screen(p); err != nil {
+		rep, err := screen(p)
+		if err != nil {
 			return false
 		}
-		d := Differential(p, seed)
+		d := differential(p, rep, seed)
 		return d != nil && d.Stage == stage
 	}
 

@@ -7,10 +7,8 @@ import (
 )
 
 // CheckBlockTable validates a basic-block table (isa.BuildBlockTable /
-// Program.Blocks) against the verifier's own control-flow graph. The
-// block executor trusts the table to skip per-instruction PC checks, so
-// a wrong table silently corrupts emulation; this check is the CFG-level
-// proof the differential tests lean on. It verifies:
+// Program.Blocks) against the verifier's own control-flow graph. It
+// verifies:
 //
 //   - every block makes forward progress and stays in range;
 //   - no block interior contains a CFG terminator, a multi-successor

@@ -127,15 +127,17 @@ type regionInfo struct {
 // result and fills Report.MaxInsts. One finding is emitted per
 // unbounded SCC that has an exit (no-exit SCCs are already RuleHalt
 // errors): SevInfo when the exit condition is data-dependent, SevWarn
-// otherwise.
+// otherwise. Each SCC's per-entry bound is then weighted by how often
+// control can enter it (weightedTotal), so a callee body counts once
+// per call.
 func checkTermination(p *isa.Program, res *absResult, r *Report) {
 	n := len(p.Insts)
 	live := func(pc int) bool { return res.in[pc].live }
 	comps := sccs(n, res.succs, live, res.edgeLive)
 
-	total := int64(0)
+	perEntry := make([]int64, len(comps))
 	allBounded := true
-	for _, comp := range comps {
+	for ci, comp := range comps {
 		inComp := make(map[int]bool, len(comp))
 		for _, pc := range comp {
 			inComp[pc] = true
@@ -150,12 +152,12 @@ func checkTermination(p *isa.Program, res *absResult, r *Report) {
 			}
 		}
 		if !cyclic {
-			total = satAdd(total, 1)
+			perEntry[ci] = 1
 			continue
 		}
 		region := &regionInfo{nodes: comp, in: inComp}
 		if b, ok := boundRegion(p, res, region, 0); ok {
-			total = satAdd(total, b)
+			perEntry[ci] = b
 			continue
 		}
 		allBounded = false
@@ -179,9 +181,121 @@ func checkTermination(p *isa.Program, res *absResult, r *Report) {
 				len(comp), first)
 		}
 	}
-	if allBounded && total < boundCap {
+	if !allBounded {
+		return
+	}
+	total, ok := weightedTotal(p, res, comps, perEntry, r)
+	if ok && total < boundCap {
 		r.MaxInsts = total
 	}
+}
+
+// isCallEdge reports whether out-edge ei of pc is a call's jump to its
+// callee (buildCFG lists a linking JAL's target first, then its return
+// point).
+func isCallEdge(in isa.Inst, ei int) bool {
+	return in.Op == isa.OpJAL && in.Rd != isa.Zero && ei == 0
+}
+
+// weightedTotal sums, over the condensed CFG, each SCC's per-entry
+// bound times the number of times control can enter it, returning
+// false when a call is recursive (its callee shares the caller's SCC).
+//
+// The argument is by activation: the hart's top-level run, and each
+// execution of a call site, starts one activation. Within an
+// activation, control follows plain edges and call-return edges (a
+// call's pc -> pc+1), which never leave the condensation's topological
+// order, so an activation enters each SCC at most once. An SCC is thus
+// entered at most as many times as the activations that can reach it:
+// one for the top level, plus, per callee whose activations reach it,
+// the executions of that callee's call sites. Reachability is a set
+// union, so a diamond of plain edges costs nothing extra; only calls
+// multiply.
+func weightedTotal(p *isa.Program, res *absResult, comps [][]int, perEntry []int64, r *Report) (int64, bool) {
+	n := len(p.Insts)
+	compOf := make([]int, n)
+	for i := range compOf {
+		compOf[i] = -1
+	}
+	for ci, comp := range comps {
+		for _, pc := range comp {
+			compOf[pc] = ci
+		}
+	}
+	// Activation starts: index 0 is the top level, then one per callee.
+	startOf := make([]int, n)
+	callers := make([][]int, n)
+	nStarts := 1
+	for pc, in := range p.Insts {
+		if compOf[pc] < 0 {
+			continue
+		}
+		for ei, s := range res.succs[pc] {
+			if !isCallEdge(in, ei) || !res.edgeLive[pc][ei] || compOf[s] < 0 {
+				continue
+			}
+			if compOf[s] == compOf[pc] {
+				r.addf(SevWarn, RuleTermination, pc,
+					"recursive call at pc %d: termination not statically bounded", pc)
+				return 0, false
+			}
+			if len(callers[s]) == 0 {
+				startOf[s] = nStarts
+				nStarts++
+			}
+			callers[s] = append(callers[s], pc)
+		}
+	}
+	isEntry := make([]bool, n)
+	for _, e := range p.Entries {
+		isEntry[e] = true
+	}
+
+	words := (nStarts + 63) / 64
+	reached := make([]uint64, len(comps)*words) // starts reaching each SCC
+	weight := make([]int64, nStarts)            // activations per start
+	weight[0] = 1
+	execs := make([]int64, len(comps)) // instruction executions per SCC
+	total := int64(0)
+	// sccs emits components in reverse topological order.
+	for ci := len(comps) - 1; ci >= 0; ci-- {
+		set := reached[ci*words : (ci+1)*words]
+		for _, pc := range comps[ci] {
+			if isEntry[pc] {
+				set[0] |= 1
+			}
+			if len(callers[pc]) > 0 {
+				w := int64(0)
+				for _, c := range callers[pc] {
+					w = satAdd(w, execs[compOf[c]])
+				}
+				s := startOf[pc]
+				weight[s] = w
+				set[s/64] |= 1 << (s % 64)
+			}
+		}
+		entries := int64(0)
+		for s := 0; s < nStarts; s++ {
+			if set[s/64]&(1<<(s%64)) != 0 {
+				entries = satAdd(entries, weight[s])
+			}
+		}
+		execs[ci] = satMul(entries, perEntry[ci])
+		total = satAdd(total, execs[ci])
+		for _, pc := range comps[ci] {
+			for ei, s := range res.succs[pc] {
+				cs := compOf[s]
+				if cs < 0 || cs == ci || !res.edgeLive[pc][ei] || isCallEdge(p.Insts[pc], ei) {
+					continue
+				}
+				dst := reached[cs*words : (cs+1)*words]
+				for w := range dst {
+					dst[w] |= set[w]
+				}
+			}
+		}
+	}
+	return total, true
 }
 
 // maxDepth caps the recursive remainder decomposition of boundRegion.

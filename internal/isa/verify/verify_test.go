@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"paraverser/internal/asm"
+	"paraverser/internal/emu"
 	"paraverser/internal/isa"
 	"paraverser/internal/isa/verify"
 )
@@ -282,5 +283,82 @@ func TestMultiEntryReachability(t *testing.T) {
 		if !ok {
 			t.Errorf("pc %d unreachable", pc)
 		}
+	}
+}
+
+// TestCalleeBoundCountsEveryCall checks proved bounds against real
+// runs of programs whose code executes once per activation. The first
+// pins a termination-bound unsoundness the fuzzer's bound oracle found
+// (seed 0x9eaa7b487a7a4c88 of fuzz.Generate(seed, 200), shrunk to 41
+// instructions): the callee at pcs 37-40 is called from pcs 16 and 26,
+// so its body retires twice, and a bound that counted each acyclic
+// instruction once proved 41 while the run retires 45. In the second,
+// the callee jumps into a tail the top level later reaches too, so the
+// tail runs once per activation: taking the larger of its two
+// predecessors' counts, rather than summing the activations that reach
+// it, would undercount it.
+func TestCalleeBoundCountsEveryCall(t *testing.T) {
+	li := func(rd isa.Reg, imm int64) isa.Inst { return isa.Inst{Op: isa.OpADDI, Rd: rd, Imm: imm} }
+	lui := func(rd isa.Reg, imm int64) isa.Inst { return isa.Inst{Op: isa.OpLUI, Rd: rd, Imm: imm} }
+	cvt := func(fd, rs isa.Reg) isa.Inst { return isa.Inst{Op: isa.OpFCVTIF, Rd: fd, Rs1: rs} }
+	for _, tc := range []struct {
+		name    string
+		insts   []isa.Inst
+		retired int64
+	}{
+		{"two-call-sites", []isa.Inst{
+			li(10, -1490), li(11, 3734), lui(12, 261302564083), lui(13, 18370623261),
+			li(14, 743), {Op: isa.OpSLLI, Rd: 14, Rs1: 14, Imm: 7},
+			lui(15, 940338298885), li(16, 199), {Op: isa.OpSLLI, Rd: 16, Rs1: 16, Imm: 7},
+			li(17, -1069),
+			cvt(8, 10), cvt(9, 11), cvt(10, 12), cvt(11, 13), cvt(12, 14), cvt(13, 15),
+			{Op: isa.OpJAL, Rd: isa.RA, Imm: 21}, // pc 16: call pc 37
+			lui(3, int64(isa.DefaultDataBase)),
+			li(10, 377), li(11, 883), li(12, 3418), li(13, 896),
+			li(14, 3189), li(15, 3442), li(16, 3910), li(17, 2675),
+			{Op: isa.OpJAL, Rd: isa.RA, Imm: 11}, // pc 26: call pc 37
+			lui(3, int64(isa.DefaultDataBase)),
+			li(10, 1998), li(11, 2238), li(12, 247), li(13, 2245),
+			li(14, 857), li(15, 1907), li(16, 2558), li(17, 717),
+			{Op: isa.OpHALT},
+			{Op: isa.OpSUB, Rd: 15, Rs1: 15, Rs2: 14}, // pc 37: callee
+			{Op: isa.OpSUB, Rd: 10, Rs1: 10, Rs2: 15},
+			{Op: isa.OpMUL, Rd: 14, Rs1: 14, Rs2: 14},
+			{Op: isa.OpJALR, Rd: isa.Zero, Rs1: isa.RA},
+		}, 45},
+		{"shared-tail", []isa.Inst{
+			li(5, 1),
+			{Op: isa.OpJAL, Rd: isa.RA, Imm: 5}, // pc 1: call pc 6
+			li(5, 0),
+			li(6, 1), // pc 3: shared tail
+			{Op: isa.OpBNE, Rs1: 5, Rs2: isa.Zero, Imm: 3}, // callee returns via pc 7
+			{Op: isa.OpHALT},
+			{Op: isa.OpJAL, Rd: isa.Zero, Imm: -3}, // pc 6: callee jumps to pc 3
+			{Op: isa.OpJALR, Rd: isa.Zero, Rs1: isa.RA},
+		}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &isa.Program{
+				Name:     tc.name,
+				Insts:    tc.insts,
+				Data:     make([]byte, 4096),
+				DataBase: isa.DefaultDataBase,
+				Entries:  []uint64{0},
+			}
+			rep := verify.Verify(p)
+			if err := rep.Err(); err != nil {
+				t.Fatal(err)
+			}
+			retired, err := emu.RunProgram(p, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if retired != tc.retired {
+				t.Fatalf("program retires %d instructions, want %d", retired, tc.retired)
+			}
+			if rep.MaxInsts < retired {
+				t.Fatalf("proved bound %d, but the run retires %d", rep.MaxInsts, retired)
+			}
+		})
 	}
 }

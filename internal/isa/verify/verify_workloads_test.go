@@ -87,12 +87,9 @@ func shippedPrograms(t *testing.T) []*isa.Program {
 }
 
 // TestBlockTablesMatchCFG cross-validates the basic-block translation
-// tables (PR 8 block-compiled emulation) against the static verifier's
-// CFG for every shipped workload and every decorrelated variant: blocks
-// must be single-entry, straight-line, and cut before every CFG edge
-// target. This is the structural half of the block-executor
-// equivalence guarantee; the differential tests in internal/emu and
-// the fuzz differential are the dynamic half.
+// tables against the static verifier's CFG for every shipped workload
+// and every decorrelated variant: blocks must be single-entry,
+// straight-line, and cut before every CFG edge target.
 func TestBlockTablesMatchCFG(t *testing.T) {
 	for _, prog := range shippedPrograms(t) {
 		if err := verify.CheckBlockTable(prog, prog.Blocks()); err != nil {
