@@ -38,7 +38,8 @@
 // runs every experiment concurrently over the shared result cache, so
 // baselines and DVFS sweeps shared between figures are simulated exactly
 // once; output is still printed in the fixed experiment order. Each
-// simulation runs on one goroutine, so -j is the only parallelism
+// simulation runs on one goroutine, and fault campaigns and the fuzz
+// experiment run at the same bound, so -j is the only parallelism
 // knob.
 //
 // Observability: -metrics-out / -metrics-prom export the deterministic
@@ -80,10 +81,9 @@ func run(args []string) int {
 	trials := fs.Int("fault-trials", 0, "override fig. 8 fault injections per benchmark")
 	seed := fs.Int64("seed", 1, "base seed for the fault-injection campaign (reproducible verdict tables)")
 	campaignTrials := fs.Int("campaign-trials", 0, "override campaign trial count (default: 4x fault-trials)")
-	campaignWorkers := fs.Int("campaign-workers", 0, "concurrent campaign trials (0 = GOMAXPROCS)")
 	fuzzSeeds := fs.Int("fuzz-seeds", 256, "seeds for the fuzz experiment (deterministic at any -j)")
 	fuzzInsts := fs.Int("fuzz-insts", 200, "per-program instruction target for the fuzz experiment")
-	workers := fs.Int("j", 0, "concurrent simulation runs (0 = GOMAXPROCS)")
+	workers := fs.Int("j", 0, "concurrent simulation runs and campaign trials (0 = GOMAXPROCS)")
 	strategy := fs.String("strategy", "auto", "checker verification strategy for full-coverage lockstep runs: auto, lockstep, chunk-replay, relaxed")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -166,7 +166,6 @@ func run(args []string) int {
 		{"-j", int64(*workers)},
 		{"-fault-trials", int64(*trials)},
 		{"-campaign-trials", int64(*campaignTrials)},
-		{"-campaign-workers", int64(*campaignWorkers)},
 		{"-insts", *insts},
 		{"-warmup", *warmup},
 	} {
@@ -261,10 +260,7 @@ func run(args []string) int {
 		names = []string{"table1", "area", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "power", "opportunity", "ablation", "campaign", "divergent", "strategies"}
 		concurrent = true
 	}
-	camp := campaignOpts{
-		seed: *seed, trials: *campaignTrials, workers: *campaignWorkers,
-		fuzzSeeds: *fuzzSeeds, fuzzInsts: *fuzzInsts, fuzzWorkers: *workers,
-	}
+	camp := campaignOpts{seed: *seed, trials: *campaignTrials, fuzzSeeds: *fuzzSeeds, fuzzInsts: *fuzzInsts}
 
 	type report struct {
 		text string
@@ -371,17 +367,14 @@ func runMetricsCmd(args []string) int {
 	return 0
 }
 
-// campaignOpts carries the campaign and fuzz subcommands' knobs.
+// campaignOpts carries the campaign and fuzz subcommands' knobs. Both
+// run at the -j worker bound.
 type campaignOpts struct {
-	seed    int64
-	trials  int
-	workers int
-	// fuzz experiment: seed count, per-program instruction target, and
-	// the -j worker bound (fuzz runs outside the simulation engine, so
-	// it applies -j itself).
-	fuzzSeeds   int
-	fuzzInsts   int
-	fuzzWorkers int
+	seed   int64
+	trials int
+	// fuzz experiment: seed count and per-program instruction target.
+	fuzzSeeds int
+	fuzzInsts int
 }
 
 // runExperiment renders one experiment's report. It returns the output
@@ -390,7 +383,7 @@ func runExperiment(name string, sc experiments.Scale, camp campaignOpts) (string
 	var b strings.Builder
 	switch name {
 	case "campaign":
-		r, err := experiments.Campaign(sc, camp.seed, camp.trials, camp.workers)
+		r, err := experiments.Campaign(sc, camp.seed, camp.trials, 0)
 		if err != nil {
 			return "", err
 		}
@@ -398,25 +391,21 @@ func runExperiment(name string, sc experiments.Scale, camp campaignOpts) (string
 		fmt.Fprintln(&b, r.TrialTable())
 		fmt.Fprintln(&b, r.Table())
 	case "divergent":
-		r, err := experiments.Divergent(sc, camp.seed, camp.trials, camp.workers)
+		r, err := experiments.Divergent(sc, camp.seed, camp.trials)
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "divergent-vs-lockstep study: %d paired trials, seed %d\n\n", len(r.Lockstep.Trials), camp.seed)
 		fmt.Fprintln(&b, r.Table())
 	case "strategies":
-		r, err := experiments.Strategies(sc, camp.seed, camp.trials, camp.workers)
+		r, err := experiments.Strategies(sc, camp.seed, camp.trials)
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "checker-strategy head-to-head, seed %d\n\n", camp.seed)
 		fmt.Fprintln(&b, r.Table())
 	case "fuzz":
-		workers := camp.fuzzWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		r := experiments.Fuzz(camp.fuzzSeeds, camp.fuzzInsts, workers, uint64(camp.seed))
+		r := experiments.Fuzz(camp.fuzzSeeds, camp.fuzzInsts, 0, uint64(camp.seed))
 		fmt.Fprintf(&b, "differential fuzz: %d seeds, ~%d insts each, base seed %d\n\n",
 			camp.fuzzSeeds, camp.fuzzInsts, camp.seed)
 		fmt.Fprintln(&b, r.Table())

@@ -41,7 +41,6 @@ func TestFlagValidation(t *testing.T) {
 		{"negative -j", []string{"-j", "-1", "table1"}, 2},
 		{"negative -fault-trials", []string{"-fault-trials", "-1", "table1"}, 2},
 		{"negative -campaign-trials", []string{"-campaign-trials", "-4", "table1"}, 2},
-		{"negative -campaign-workers", []string{"-campaign-workers", "-1", "table1"}, 2},
 		{"negative -insts", []string{"-insts", "-100", "table1"}, 2},
 		{"negative -warmup", []string{"-warmup", "-100", "table1"}, 2},
 		{"zero -trace-cap", []string{"-trace-cap", "0", "table1"}, 2},

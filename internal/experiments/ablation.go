@@ -82,36 +82,23 @@ func ablation(e *Engine, sc Scale) (*AblationResult, error) {
 	}
 
 	benches := sc.benchmarks()
-	baseF := make(map[string]*Future, len(benches))
-	runF := make(map[string]map[string]*Future, len(variants))
-	for _, nc := range variants {
-		runF[nc.Label] = make(map[string]*Future, len(benches))
-	}
-	for _, bench := range benches {
-		baseF[bench] = sc.submitBaseline(e, bench)
-		for _, nc := range variants {
-			runF[nc.Label][bench] = e.SubmitSpec(nc.Cfg, bench, sc.Insts, sc.Warmup)
-		}
-	}
+	baseF, runF := sc.submitMatrix(e, variants, benches)
 
 	out := &AblationResult{}
 	for _, nc := range variants {
 		var slows, covs []float64
 		var bpiSum float64
 		for _, bench := range benches {
-			baseNS, err := laneTimeNS(baseF[bench])
+			base, err := clean(baseF[bench], "ablation baseline %s", bench)
 			if err != nil {
 				return nil, err
 			}
-			res, err := runF[nc.Label][bench].Wait()
+			res, err := clean(runF[nc.Label][bench], "ablation %s/%s", nc.Label, bench)
 			if err != nil {
-				return nil, fmt.Errorf("ablation %s/%s: %w", nc.Label, bench, err)
-			}
-			if res.Detections() != 0 {
-				return nil, fmt.Errorf("ablation %s/%s: clean run raised detections", nc.Label, bench)
+				return nil, err
 			}
 			lane := res.Lanes[0]
-			slows = append(slows, lane.TimeNS/baseNS)
+			slows = append(slows, res.TimeNS()/base.TimeNS())
 			covs = append(covs, lane.Coverage()*100)
 			bpiSum += float64(lane.LogBytes) / float64(lane.Insts)
 		}

@@ -12,8 +12,9 @@ import (
 // graceful degradation) live in every trial. Checker-fault trials
 // replay each workload's main stream from one priming run and check
 // every segment for real (fault.RunCampaign). trials <= 0 picks a
-// scale-appropriate default; the base seed makes the verdict tables
-// reproducible regardless of workers.
+// scale-appropriate default; workers <= 0 runs at the shared engine's
+// worker bound. The base seed makes the verdict tables reproducible
+// regardless of workers.
 func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult, error) {
 	if trials <= 0 {
 		trials = 4 * sc.FaultTrials
@@ -34,26 +35,35 @@ func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult,
 	opp := core.DefaultConfig(a510Spec(2, 2.0))
 	opp.Mode = core.ModeOpportunistic
 	opp.Recovery = core.DefaultRecovery()
-	// Campaign trials bypass the engine and its SpecCache (they call
-	// fault.RunCampaign, which primes a cache of its own), so the
-	// process-wide trace setting is applied here. It does not change
-	// trial outcomes.
-	applyTrace(&full)
-	applyTrace(&opp)
-
-	r, err := fault.RunCampaign(fault.CampaignConfig{
+	return defaultEngine().campaign(fault.CampaignConfig{
 		Seed:      seed,
 		Trials:    trials,
 		Workers:   workers,
 		Workloads: workloads,
 		Configs:   []core.Config{full, opp},
 	})
+}
+
+// campaign runs a fault-injection campaign beside the engine: trials
+// carry private injectors, so they bypass the run cache and its
+// SpecCache (fault.RunCampaign primes a cache of its own). Workers <= 0
+// selects the engine's worker bound, the process-wide trace setting is
+// applied to every configuration (it does not change trial outcomes),
+// and the trials' merged metric shard is folded into the engine's
+// aggregate, which stays deterministic because trial metrics depend
+// only on the seed.
+func (e *Engine) campaign(cc fault.CampaignConfig) (*fault.CampaignResult, error) {
+	if cc.Workers <= 0 {
+		cc.Workers = e.Workers()
+	}
+	cc.Configs = append([]core.Config(nil), cc.Configs...)
+	for i := range cc.Configs {
+		applyTrace(&cc.Configs[i])
+	}
+	r, err := fault.RunCampaign(cc)
 	if err != nil {
 		return nil, err
 	}
-	// Campaign trials never pass through the engine's cache, so their
-	// merged shard is recorded explicitly; the aggregate stays
-	// deterministic because trial metrics depend only on the seed.
-	defaultEngine().RecordMetrics(r.RunMetrics())
+	e.RecordMetrics(r.RunMetrics())
 	return r, nil
 }

@@ -65,8 +65,6 @@ func divergentConfigs() (lockstep, divergent core.Config) {
 	lockstep.Recovery = core.DefaultRecovery()
 	divergent = lockstep
 	divergent.Strategy = core.StrategyDivergent
-	applyTrace(&lockstep)
-	applyTrace(&divergent)
 	return lockstep, divergent
 }
 
@@ -82,12 +80,13 @@ func divergentMix() fault.FaultMix {
 // memory-path faults, plus fault-free runs quantifying the slowdown the
 // divergent checker pays for using the real memory hierarchy. Trial
 // seeds derive from the base seed and results land in trial order, so
-// the tables are byte-identical at any worker count.
-func Divergent(sc Scale, seed int64, trials, workers int) (*DivergentResult, error) {
-	return divergentStudy(defaultEngine(), sc, seed, trials, workers)
+// the tables are byte-identical at any worker count. The campaigns run
+// at the shared engine's worker bound.
+func Divergent(sc Scale, seed int64, trials int) (*DivergentResult, error) {
+	return divergentStudy(defaultEngine(), sc, seed, trials)
 }
 
-func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*DivergentResult, error) {
+func divergentStudy(e *Engine, sc Scale, seed int64, trials int) (*DivergentResult, error) {
 	if trials <= 0 {
 		trials = 6 * sc.FaultTrials
 	}
@@ -107,16 +106,18 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 	// Phase 1: fault-free slowdown runs, all in flight at once. The
 	// campaign phase below bypasses the engine (private injectors), so
 	// kicking these off first keeps the pool busy throughout.
-	type slowRun struct{ base, lock, div *Future }
+	type slowRun struct {
+		base *Future
+		runs map[string]*Future // by Slowdown.Order label
+	}
 	slowF := make([]slowRun, len(ws))
 	for i, w := range ws {
 		out.Slowdown.Benchmarks = append(out.Slowdown.Benchmarks, w.Name)
 		one := []core.Workload{{Name: w.Name, Prog: w.Prog, MaxInsts: sc.Insts, WarmupInsts: sc.Warmup}}
-		slowF[i] = slowRun{
-			base: e.Submit(baselineCfg(), one),
-			lock: e.Submit(lockCfg, one),
-			div:  e.Submit(divCfg, one),
-		}
+		slowF[i] = slowRun{base: e.Submit(baselineCfg(), one), runs: map[string]*Future{
+			"lockstep":  e.Submit(lockCfg, one),
+			"divergent": e.Submit(divCfg, one),
+		}}
 	}
 
 	// Phase 2: the paired campaigns. Same seed, same trial count, same
@@ -125,10 +126,9 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 	// is the same experiment under the two strategies.
 	mix := divergentMix()
 	run := func(cfg core.Config) (*fault.CampaignResult, error) {
-		return fault.RunCampaign(fault.CampaignConfig{
+		return e.campaign(fault.CampaignConfig{
 			Seed:      seed,
 			Trials:    trials,
-			Workers:   workers,
 			Workloads: ws,
 			Configs:   []core.Config{cfg},
 			Mix:       &mix,
@@ -140,8 +140,6 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 	if out.Divergent, err = run(divCfg); err != nil {
 		return nil, fmt.Errorf("divergent study, divergent campaign: %w", err)
 	}
-	defaultEngine().RecordMetrics(out.Lockstep.RunMetrics())
-	defaultEngine().RecordMetrics(out.Divergent.RunMetrics())
 
 	for i := range out.Lockstep.Trials {
 		lt, dt := &out.Lockstep.Trials[i], &out.Divergent.Trials[i]
@@ -161,25 +159,16 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 
 	// Phase 3: collect the slowdown table.
 	for i, w := range ws {
-		baseRes, err := slowF[i].base.Wait()
+		base, err := clean(slowF[i].base, "divergent study baseline %s", w.Name)
 		if err != nil {
-			return nil, fmt.Errorf("divergent study baseline %s: %w", w.Name, err)
+			return nil, err
 		}
-		base := baseRes.TimeNS()
-		runs := []struct {
-			label string
-			fut   *Future
-		}{{"lockstep", slowF[i].lock}, {"divergent", slowF[i].div}}
-		for _, run := range runs {
-			label, fut := run.label, run.fut
-			res, err := fut.Wait()
+		for _, label := range out.Slowdown.Order {
+			res, err := clean(slowF[i].runs[label], "divergent study %s %s", label, w.Name)
 			if err != nil {
-				return nil, fmt.Errorf("divergent study %s %s: %w", label, w.Name, err)
+				return nil, err
 			}
-			if res.Detections() != 0 {
-				return nil, fmt.Errorf("divergent study %s: clean %s run raised detections", w.Name, label)
-			}
-			out.Slowdown.Values[label][w.Name] = (res.TimeNS()/base - 1) * 100
+			out.Slowdown.Values[label][w.Name] = slowdownPct(res, base)
 		}
 	}
 	out.Slowdown.Notes = append(out.Slowdown.Notes,

@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -134,19 +135,48 @@ func baselineCfg() core.Config {
 	return cfg
 }
 
-// submitBaseline schedules (or cache-hits) the no-checking run for a
-// benchmark at the scale's window.
-func (sc Scale) submitBaseline(e *Engine, name string) *Future {
-	return e.SubmitSpec(baselineCfg(), name, sc.Insts, sc.Warmup)
+// submit schedules cfg on one SPEC benchmark at the scale's window.
+func (sc Scale) submit(e *Engine, cfg core.Config, bench string) *Future {
+	return e.Submit(cfg, specRun(bench, sc.Insts, sc.Warmup))
 }
 
-// laneTimeNS waits for a single-lane future and returns its run time.
-func laneTimeNS(f *Future) (float64, error) {
-	res, err := f.Wait()
-	if err != nil {
-		return 0, err
+// submitMatrix submits the no-checking baseline and every configuration
+// on each benchmark at the scale's window. It returns the baseline
+// futures by benchmark and the run futures by label, then benchmark.
+func (sc Scale) submitMatrix(e *Engine, configs []NamedConfig, benches []string) (base map[string]*Future, runs map[string]map[string]*Future) {
+	base = make(map[string]*Future, len(benches))
+	runs = make(map[string]map[string]*Future, len(configs))
+	for _, nc := range configs {
+		runs[nc.Label] = make(map[string]*Future, len(benches))
 	}
-	return res.Lanes[0].TimeNS, nil
+	for _, bench := range benches {
+		base[bench] = sc.submit(e, baselineCfg(), bench)
+		for _, nc := range configs {
+			runs[nc.Label][bench] = sc.submit(e, nc.Cfg, bench)
+		}
+	}
+	return base, runs
+}
+
+// clean waits for a fault-free run and returns its result. It is the one
+// reader of clean runs: a failed run's error is wrapped with the run's
+// name (format and args), and a run that raised detections is an error
+// too, since with no fault injected a detection is a simulator bug, not
+// data. Fault runs read their results with a plain Wait.
+func clean(f *Future, format string, args ...any) (*core.Result, error) {
+	res, err := f.Wait()
+	if err == nil && res.Detections() != 0 {
+		err = errors.New("clean run raised detections")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), err)
+	}
+	return res, nil
+}
+
+// slowdownPct is run's slowdown over base in percent of run time.
+func slowdownPct(run, base *core.Result) float64 {
+	return (run.TimeNS()/base.TimeNS() - 1) * 100
 }
 
 // NamedConfig pairs a label with a system configuration.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"paraverser/internal/core"
 )
 
@@ -47,11 +45,7 @@ func fig10(e *Engine, sc Scale) (*SeriesResult, error) {
 		r.Benchmarks = append(r.Benchmarks, mixName)
 		var ws []core.Workload
 		for _, b := range Mixes()[mixName] {
-			prog, err := specProg(b)
-			if err != nil {
-				return nil, err
-			}
-			ws = append(ws, core.Workload{Name: b, Prog: prog, MaxInsts: perLane})
+			ws = append(ws, specRun(b, perLane, 0)...)
 		}
 		baseF[mixName] = e.Submit(baselineCfg(), ws)
 		runF[mixName] = make(map[string]*Future, 2*len(configs))
@@ -69,19 +63,16 @@ func fig10(e *Engine, sc Scale) (*SeriesResult, error) {
 	}
 
 	for _, mixName := range mixNames {
-		baseRes, err := baseF[mixName].Wait()
+		baseRes, err := clean(baseF[mixName], "fig10 baseline %s", mixName)
 		if err != nil {
-			return nil, fmt.Errorf("fig10 baseline %s: %w", mixName, err)
+			return nil, err
 		}
 		base := baseRes.TotalCPI(3.0)
 		for _, nc := range configs {
 			for _, label := range []string{nc.Label, nc.Label + "-noLSLnoc"} {
-				res, err := runF[mixName][label].Wait()
+				res, err := clean(runF[mixName][label], "fig10 %s/%s", label, mixName)
 				if err != nil {
-					return nil, fmt.Errorf("fig10 %s/%s: %w", label, mixName, err)
-				}
-				if res.Detections() != 0 {
-					return nil, fmt.Errorf("fig10 %s/%s: clean run raised detections", label, mixName)
+					return nil, err
 				}
 				r.Values[label][mixName] = (res.TotalCPI(3.0)/base - 1) * 100
 			}

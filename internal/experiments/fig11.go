@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"paraverser/internal/core"
 	"paraverser/internal/noc"
 )
@@ -39,48 +37,35 @@ func fig11(e *Engine, sc Scale) (*SeriesResult, error) {
 	}
 	// Checking overhead is measured against a no-checking baseline on the
 	// SAME mesh: the study isolates the cost of LSL traffic, not of the
-	// slower fabric itself.
-	submitBaseline := func(mesh noc.Config, bench string) *Future {
-		cfg := baselineCfg()
-		cfg.NoC = mesh
-		return e.SubmitSpec(cfg, bench, sc.Insts, sc.Warmup)
-	}
-	baseFastF := make(map[string]*Future, len(r.Benchmarks))
+	// slower fabric itself. The matrix's baseline runs on the default,
+	// fast mesh.
+	baseFastF, runF := sc.submitMatrix(e, configs, r.Benchmarks)
+	slowBase := baselineCfg()
+	slowBase.NoC = noc.Slow()
 	baseSlowF := make(map[string]*Future, len(r.Benchmarks))
-	runF := make(map[string]map[string]*Future, len(configs))
-	for _, nc := range configs {
-		runF[nc.Label] = make(map[string]*Future, len(r.Benchmarks))
-	}
 	for _, bench := range r.Benchmarks {
-		baseFastF[bench] = submitBaseline(noc.Fast(), bench)
-		baseSlowF[bench] = submitBaseline(noc.Slow(), bench)
-		for _, nc := range configs {
-			runF[nc.Label][bench] = e.SubmitSpec(nc.Cfg, bench, sc.Insts, sc.Warmup)
-		}
+		baseSlowF[bench] = sc.submit(e, slowBase, bench)
 	}
 
 	for _, bench := range r.Benchmarks {
-		baseFast, err := laneTimeNS(baseFastF[bench])
+		baseFast, err := clean(baseFastF[bench], "fig11 fast-mesh baseline %s", bench)
 		if err != nil {
 			return nil, err
 		}
-		baseSlow, err := laneTimeNS(baseSlowF[bench])
+		baseSlow, err := clean(baseSlowF[bench], "fig11 slow-mesh baseline %s", bench)
 		if err != nil {
 			return nil, err
 		}
 		for _, nc := range configs {
-			res, err := runF[nc.Label][bench].Wait()
+			res, err := clean(runF[nc.Label][bench], "fig11 %s/%s", nc.Label, bench)
 			if err != nil {
-				return nil, fmt.Errorf("fig11 %s/%s: %w", nc.Label, bench, err)
-			}
-			if res.Detections() != 0 {
-				return nil, fmt.Errorf("fig11 %s/%s: clean run raised detections", nc.Label, bench)
+				return nil, err
 			}
 			base := baseSlow
 			if nc.Label == "fastNoC" {
 				base = baseFast
 			}
-			r.Values[nc.Label][bench] = (res.Lanes[0].TimeNS/base - 1) * 100
+			r.Values[nc.Label][bench] = slowdownPct(res, base)
 		}
 	}
 	r.Notes = append(r.Notes,

@@ -58,36 +58,25 @@ func fig6(e *Engine, sc Scale) (*SeriesResult, error) {
 	// Submit the full (config × benchmark) matrix, the baselines and the
 	// DVFS sweep up front; the engine runs them in parallel and shares
 	// repeats.
-	baseF := make(map[string]*Future, len(r.Benchmarks))
-	runF := make(map[string]map[string]*Future, len(configs))
-	for _, nc := range configs {
-		runF[nc.Label] = make(map[string]*Future, len(r.Benchmarks))
-	}
+	baseF, runF := sc.submitMatrix(e, configs, r.Benchmarks)
 	for _, bench := range r.Benchmarks {
-		baseF[bench] = sc.submitBaseline(e, bench)
-		for _, nc := range configs {
-			runF[nc.Label][bench] = e.SubmitSpec(nc.Cfg, bench, sc.Insts, sc.Warmup)
-		}
 		for _, f := range sc.ED2PFreqs {
-			e.SubmitSpec(ed2pCfg(f), bench, sc.Insts, sc.Warmup)
+			sc.submit(e, ed2pCfg(f), bench)
 		}
 	}
 
 	// Assemble in deterministic label/benchmark order.
 	for _, bench := range r.Benchmarks {
-		base, err := laneTimeNS(baseF[bench])
+		base, err := clean(baseF[bench], "fig6 baseline %s", bench)
 		if err != nil {
 			return nil, err
 		}
 		for _, nc := range configs {
-			res, err := runF[nc.Label][bench].Wait()
+			res, err := clean(runF[nc.Label][bench], "fig6 %s/%s", nc.Label, bench)
 			if err != nil {
-				return nil, fmt.Errorf("fig6 %s/%s: %w", nc.Label, bench, err)
+				return nil, err
 			}
-			if res.Detections() != 0 {
-				return nil, fmt.Errorf("fig6 %s/%s: clean run raised detections", nc.Label, bench)
-			}
-			r.Values[nc.Label][bench] = (res.Lanes[0].TimeNS/base - 1) * 100
+			r.Values[nc.Label][bench] = slowdownPct(res, base)
 		}
 		slow, _, err := ed2pPoint(e, sc, bench, base)
 		if err != nil {
@@ -107,7 +96,7 @@ func fig6(e *Engine, sc Scale) (*SeriesResult, error) {
 // checking-energy overhead. Every DVFS run goes through the engine's
 // cache, so points the figure (or an earlier study) already simulated are
 // not re-run.
-func ed2pPoint(e *Engine, sc Scale, bench string, baseNS float64) (slowPct, energyOverhead float64, err error) {
+func ed2pPoint(e *Engine, sc Scale, bench string, base *core.Result) (slowPct, energyOverhead float64, err error) {
 	type point struct {
 		slow, overhead float64
 		energyJ, dNS   float64
@@ -115,21 +104,20 @@ func ed2pPoint(e *Engine, sc Scale, bench string, baseNS float64) (slowPct, ener
 	points := make(map[float64]point, len(sc.ED2PFreqs))
 	futs := make(map[float64]*Future, len(sc.ED2PFreqs))
 	for _, f := range sc.ED2PFreqs {
-		futs[f] = e.SubmitSpec(ed2pCfg(f), bench, sc.Insts, sc.Warmup)
+		futs[f] = sc.submit(e, ed2pCfg(f), bench)
 	}
 	for _, f := range sc.ED2PFreqs {
-		res, err := futs[f].Wait()
+		res, err := clean(futs[f], "fig6 ed2p %s @%.2gGHz", bench, f)
 		if err != nil {
-			return 0, 0, fmt.Errorf("fig6 ed2p %s @%.2gGHz: %w", bench, f, err)
+			return 0, 0, err
 		}
 		rep, err := core.Energy(ed2pCfg(f), res)
 		if err != nil {
 			return 0, 0, fmt.Errorf("fig6 ed2p %s @%.2gGHz: %w", bench, f, err)
 		}
-		d := res.Lanes[0].TimeNS
 		points[f] = point{
-			slow: (d/baseNS - 1) * 100, overhead: rep.Overhead,
-			energyJ: rep.MainJ + rep.CheckerJ, dNS: d,
+			slow: slowdownPct(res, base), overhead: rep.Overhead,
+			energyJ: rep.MainJ + rep.CheckerJ, dNS: res.TimeNS(),
 		}
 	}
 	bestF, _, _ := power.MinimiseED2P(sc.ED2PFreqs, func(f float64) (float64, float64) {

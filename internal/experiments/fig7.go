@@ -53,33 +53,22 @@ func fig7(e *Engine, sc Scale) (slow, coverage *SeriesResult, err error) {
 		coverage.Values[nc.Label] = make(map[string]float64)
 	}
 
-	baseF := make(map[string]*Future, len(slow.Benchmarks))
-	runF := make(map[string]map[string]*Future, len(configs))
-	for _, nc := range configs {
-		runF[nc.Label] = make(map[string]*Future, len(slow.Benchmarks))
-	}
+	baseF, runF := sc.submitMatrix(e, configs, slow.Benchmarks)
 	for _, bench := range slow.Benchmarks {
-		baseF[bench] = sc.submitBaseline(e, bench)
-		for _, nc := range configs {
-			runF[nc.Label][bench] = e.SubmitSpec(nc.Cfg, bench, sc.Insts, sc.Warmup)
-		}
-	}
-
-	for _, bench := range slow.Benchmarks {
-		base, err := laneTimeNS(baseF[bench])
+		base, err := clean(baseF[bench], "fig7 baseline %s", bench)
 		if err != nil {
 			return nil, nil, err
 		}
 		for _, nc := range configs {
-			res, err := runF[nc.Label][bench].Wait()
+			res, err := clean(runF[nc.Label][bench], "fig7 %s/%s", nc.Label, bench)
 			if err != nil {
-				return nil, nil, fmt.Errorf("fig7 %s/%s: %w", nc.Label, bench, err)
+				return nil, nil, err
 			}
 			lane := res.Lanes[0]
 			if lane.StallNS != 0 {
 				return nil, nil, fmt.Errorf("fig7 %s/%s: opportunistic mode stalled", nc.Label, bench)
 			}
-			slow.Values[nc.Label][bench] = (lane.TimeNS/base - 1) * 100
+			slow.Values[nc.Label][bench] = slowdownPct(res, base)
 			coverage.Values[nc.Label][bench] = lane.Coverage() * 100
 		}
 	}

@@ -59,16 +59,11 @@ func withFault(cfg core.Config, f fault.Fault) (core.Config, *fault.Injector, er
 // pool. Interceptor configs are never cached, so each submission keeps
 // its private injector and fire counters.
 func submitFault(e *Engine, cfg core.Config, bench string, f fault.Fault, horizon int64) (*Future, *fault.Injector, error) {
-	prog, err := specProg(bench)
-	if err != nil {
-		return nil, nil, err
-	}
 	fcfg, inj, err := withFault(cfg, f)
 	if err != nil {
 		return nil, nil, err
 	}
-	fut := e.Submit(fcfg, []core.Workload{{Name: bench, Prog: prog, MaxInsts: horizon}})
-	return fut, inj, nil
+	return e.Submit(fcfg, specRun(bench, horizon, 0)), inj, nil
 }
 
 // Fig8 injects single-bit stuck-at hard faults on a checker core

@@ -69,20 +69,16 @@ func fig9(e *Engine, sc Scale) (*SeriesResult, error) {
 	}
 
 	for i, w := range ws {
-		baseRes, err := baseF[i].Wait()
+		base, err := clean(baseF[i], "fig9 baseline %s", w.Name)
 		if err != nil {
-			return nil, fmt.Errorf("fig9 baseline %s: %w", w.Name, err)
+			return nil, err
 		}
-		base := baseRes.TimeNS()
 		for _, n := range counts {
-			res, err := runF[n][i].Wait()
+			res, err := clean(runF[n][i], "fig9 %dxA510 %s", n, w.Name)
 			if err != nil {
-				return nil, fmt.Errorf("fig9 %dxA510 %s: %w", n, w.Name, err)
+				return nil, err
 			}
-			if res.Detections() != 0 {
-				return nil, fmt.Errorf("fig9 %s: clean run raised detections", w.Name)
-			}
-			r.Values[fmt.Sprintf("%dxA510", n)][w.Name] = (res.TimeNS()/base - 1) * 100
+			r.Values[fmt.Sprintf("%dxA510", n)][w.Name] = slowdownPct(res, base)
 		}
 	}
 	r.Notes = append(r.Notes,

@@ -23,13 +23,15 @@ type FuzzResult struct {
 }
 
 // Fuzz runs a fuzzing campaign: seeds independent seed pipelines of
-// ~insts-instruction programs, workers-way parallel (<= 0 selects one
-// worker per seed up to GOMAXPROCS via the campaign's own bounding),
-// over the seed stream selected by baseSeed. The report list is
-// byte-identical at any worker count or -j setting: each seed's
-// pipeline is self-contained and fixes its own engine configurations
-// internally.
+// ~insts-instruction programs, workers-way parallel (<= 0 selects the
+// shared engine's worker bound), over the seed stream selected by
+// baseSeed. The report list is byte-identical at any worker count or -j
+// setting: each seed's pipeline is self-contained and fixes its own
+// engine configurations internally.
 func Fuzz(seeds, insts, workers int, baseSeed uint64) *FuzzResult {
+	if workers <= 0 {
+		workers = defaultEngine().Workers()
+	}
 	reports := fuzz.Campaign(fuzz.Options{
 		Seeds:    seeds,
 		Insts:    insts,

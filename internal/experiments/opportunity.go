@@ -126,9 +126,7 @@ func Opportunity(sc Scale) (*OpportunityResult, error) {
 }
 
 func opportunity(e *Engine, sc Scale) (*OpportunityResult, error) {
-	out := &OpportunityResult{}
-
-	for _, flavour := range []struct {
+	flavours := []struct {
 		name     string
 		memBound bool
 		littles  int
@@ -138,52 +136,50 @@ func opportunity(e *Engine, sc Scale) (*OpportunityResult, error) {
 		// the chase is genuinely memory-bound (1MiB of pointers).
 		{"GAP-like", true, 2, 1 << 17},
 		{"PARSEC-like", false, 3, int(sc.Insts / 40)},
-	} {
-		items := flavour.items
+	}
+	// Per flavour, the four runs of runNames, all submitted before the
+	// first wait.
+	runNames := [...]string{
+		"T1 (one X2 alone)",
+		"X2 + little cores as compute",
+		"two X2s as compute",
+		"X2 with the little cores as checkers",
+	}
+	futs := make([][len(runNames)]*Future, len(flavours))
+	for i, fl := range flavours {
 		// Each harts-count maps to one program, built once: T1 and the
 		// checking run share the single-hart program (and so share a cache
 		// key up to config), while the parallel-compute runs get theirs.
-		prog1 := mapWorkload(1, items, flavour.memBound)
-		progHet := mapWorkload(1+flavour.littles, items, flavour.memBound)
-		progHomog := mapWorkload(2, items, flavour.memBound)
-
-		// T1: one X2 alone.
-		f1 := submitMap(e, nil, prog1, nil)
-		// Heterogeneous parallel compute: X2 + little cores as workers.
+		prog1 := mapWorkload(1, fl.items, fl.memBound)
 		lanes := []core.LaneMain{{CPU: cpu.X2(), FreqGHz: 3.0}}
-		for i := 0; i < flavour.littles; i++ {
+		for j := 0; j < fl.littles; j++ {
 			lanes = append(lanes, core.LaneMain{CPU: cpu.A510(), FreqGHz: 2.0})
 		}
-		fHet := submitMap(e, lanes, progHet, nil)
-		// Homogeneous parallel compute: two X2s.
-		fHomog := submitMap(e, []core.LaneMain{
-			{CPU: cpu.X2(), FreqGHz: 3.0}, {CPU: cpu.X2(), FreqGHz: 3.0},
-		}, progHomog, nil)
-		// Same little cores devoted to full-coverage checking instead.
-		ck := []core.CheckerSpec{a510Spec(flavour.littles, 2.0)}
-		fCheck := submitMap(e, nil, prog1, ck)
+		futs[i] = [...]*Future{
+			submitMap(e, nil, prog1, nil),
+			submitMap(e, lanes, mapWorkload(1+fl.littles, fl.items, fl.memBound), nil),
+			submitMap(e, []core.LaneMain{
+				{CPU: cpu.X2(), FreqGHz: 3.0}, {CPU: cpu.X2(), FreqGHz: 3.0},
+			}, mapWorkload(2, fl.items, fl.memBound), nil),
+			submitMap(e, nil, prog1, []core.CheckerSpec{a510Spec(fl.littles, 2.0)}),
+		}
+	}
 
-		t1, err := mapTimeNS(f1)
-		if err != nil {
-			return nil, err
+	out := &OpportunityResult{}
+	for i, fl := range flavours {
+		var t [len(runNames)]float64
+		for j, f := range futs[i] {
+			res, err := clean(f, "opportunity %s, %s", fl.name, runNames[j])
+			if err != nil {
+				return nil, err
+			}
+			t[j] = res.TimeNS()
 		}
-		tHet, err := mapTimeNS(fHet)
-		if err != nil {
-			return nil, err
-		}
-		tHomog, err := mapTimeNS(fHomog)
-		if err != nil {
-			return nil, err
-		}
-		tCheck, err := mapTimeNS(fCheck)
-		if err != nil {
-			return nil, err
-		}
-
+		t1, tHet, tHomog, tCheck := t[0], t[1], t[2], t[3]
 		out.Rows = append(out.Rows,
-			OpportunityRow{flavour.name + ": speedup, 1 X2 + little cores as compute", t1 / tHet, "x"},
-			OpportunityRow{flavour.name + ": speedup, 2 X2 as compute", t1 / tHomog, "x"},
-			OpportunityRow{flavour.name + ": overhead, little cores as checkers", (tCheck/t1 - 1) * 100, "%"},
+			OpportunityRow{fl.name + ": speedup, 1 X2 + little cores as compute", t1 / tHet, "x"},
+			OpportunityRow{fl.name + ": speedup, 2 X2 as compute", t1 / tHomog, "x"},
+			OpportunityRow{fl.name + ": overhead, little cores as checkers", (tCheck/t1 - 1) * 100, "%"},
 		)
 	}
 	out.Notes = append(out.Notes,
@@ -197,16 +193,4 @@ func submitMap(e *Engine, lanes []core.LaneMain, prog *isa.Program, checkers []c
 	cfg := core.DefaultConfig(checkers...)
 	cfg.LaneMains = lanes
 	return e.Submit(cfg, []core.Workload{{Name: prog.Name, Prog: prog}})
-}
-
-// mapTimeNS waits for a map run and returns its completion time.
-func mapTimeNS(f *Future) (float64, error) {
-	res, err := f.Wait()
-	if err != nil {
-		return 0, err
-	}
-	if res.Detections() != 0 {
-		return 0, fmt.Errorf("opportunity: clean run raised detections")
-	}
-	return res.TimeNS(), nil
 }

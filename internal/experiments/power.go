@@ -51,38 +51,30 @@ func powerStudy(e *Engine, sc Scale) (*PowerResult, error) {
 	}
 
 	benches := sc.benchmarks()
-	baseF := make(map[string]*Future, len(benches))
-	runF := make(map[string]map[string]*Future, len(configs))
-	for _, nc := range configs {
-		runF[nc.Label] = make(map[string]*Future, len(benches))
-	}
+	baseF, runF := sc.submitMatrix(e, configs, benches)
 	for _, bench := range benches {
-		baseF[bench] = sc.submitBaseline(e, bench)
-		for _, nc := range configs {
-			runF[nc.Label][bench] = e.SubmitSpec(nc.Cfg, bench, sc.Insts, sc.Warmup)
-		}
 		for _, f := range sc.ED2PFreqs {
-			e.SubmitSpec(ed2pCfg(f), bench, sc.Insts, sc.Warmup)
+			sc.submit(e, ed2pCfg(f), bench)
 		}
 	}
 
 	for _, nc := range configs {
 		var overheads, slows []float64
 		for _, bench := range benches {
-			base, err := laneTimeNS(baseF[bench])
+			base, err := clean(baseF[bench], "power baseline %s", bench)
 			if err != nil {
 				return nil, err
 			}
-			res, err := runF[nc.Label][bench].Wait()
+			res, err := clean(runF[nc.Label][bench], "power %s/%s", nc.Label, bench)
 			if err != nil {
-				return nil, fmt.Errorf("power %s/%s: %w", nc.Label, bench, err)
+				return nil, err
 			}
 			rep, err := core.Energy(nc.Cfg, res)
 			if err != nil {
 				return nil, err
 			}
 			overheads = append(overheads, 1+rep.Overhead)
-			slows = append(slows, res.Lanes[0].TimeNS/base)
+			slows = append(slows, res.TimeNS()/base.TimeNS())
 		}
 		out.Rows = append(out.Rows, PowerRow{
 			Label:          nc.Label,
@@ -96,7 +88,7 @@ func powerStudy(e *Engine, sc Scale) (*PowerResult, error) {
 	// only assembles.
 	var overheads, slows []float64
 	for _, bench := range benches {
-		base, err := laneTimeNS(baseF[bench])
+		base, err := clean(baseF[bench], "power baseline %s", bench)
 		if err != nil {
 			return nil, err
 		}

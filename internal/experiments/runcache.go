@@ -164,20 +164,22 @@ func writeConfig(w io.Writer, cfg *core.Config) {
 	// fingerprintedConfigFields table for the rationale.
 }
 
-// workloadsKey renders the workload list's identity. Programs built from
-// the SPEC generator are canonicalised by name (specProg guarantees one
-// immutable *isa.Program per name per process); any other program is
-// identified by pointer, which the cache entry keeps alive so the address
-// cannot be recycled while the key is live.
+// workloadsKey renders the workload list's identity; it is the one
+// formatter of workload keys. SPEC programs are canonicalised by name,
+// whether submitted by name (nil Prog, see specRun) or with the program
+// specProg built (one immutable *isa.Program per name per process), so
+// both forms of one run share a cache entry. Any other program is
+// identified by pointer, which the cache entry keeps alive so the
+// address cannot be recycled while the key is live.
 func workloadsKey(ws []core.Workload) string {
 	out := ""
 	for i := range ws {
 		w := &ws[i]
 		id := fmt.Sprintf("%p", w.Prog)
-		if p, ok := progCache.Load(w.Name); ok {
-			if e := p.(*progEntry); e.prog == w.Prog {
-				id = "spec:" + w.Name
-			}
+		if w.Prog == nil {
+			id = "spec:" + w.Name
+		} else if p, ok := progCache.Load(w.Name); ok && p.(*progEntry).prog == w.Prog {
+			id = "spec:" + w.Name
 		}
 		out += fmt.Sprintf("%s|%s|%d|%d\n", w.Name, id, w.MaxInsts, w.WarmupInsts)
 	}

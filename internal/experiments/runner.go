@@ -20,7 +20,6 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -188,7 +187,11 @@ func (f *Future) Wait() (*core.Result, error) {
 }
 
 // Submit schedules one simulation of ws under cfg and returns its
-// future. Cacheable submissions (no fault interceptor) are deduplicated
+// future. A workload with a nil Prog names a SPEC benchmark (specRun):
+// its program is built inside the run's pool slot, so first-time
+// working-set generation parallelises with other runs, and it shares a
+// cache key with the same benchmark submitted with its specProg program.
+// Cacheable submissions (no fault interceptor) are deduplicated
 // content-addressed: an identical earlier submission — completed or
 // still in flight — is shared rather than re-run. Uncacheable
 // submissions always execute privately but still occupy pool slots, so
@@ -198,8 +201,8 @@ func (e *Engine) Submit(cfg core.Config, ws []core.Workload) *Future {
 	applyTrace(&cfg)
 	e.applySpec(&cfg)
 	e.jobs.Add(1)
+	c := &runCall{done: make(chan struct{}), ws: ws}
 	if !cacheable(&cfg) {
-		c := &runCall{done: make(chan struct{}), ws: ws}
 		e.mu.Lock()
 		e.uncached = append(e.uncached, c)
 		e.mu.Unlock()
@@ -208,16 +211,21 @@ func (e *Engine) Submit(cfg core.Config, ws []core.Workload) *Future {
 	}
 	key := keyFor(&cfg, ws)
 	e.mu.Lock()
-	if c, ok := e.cache[key]; ok {
+	if old, ok := e.cache[key]; ok {
 		e.mu.Unlock()
-		e.noteHit(c)
-		return &Future{c: c}
+		e.noteHit(old)
+		return &Future{c: old}
 	}
-	c := &runCall{done: make(chan struct{}), ws: ws}
 	e.cache[key] = c
 	e.mu.Unlock()
 	e.start(cfg, c)
 	return &Future{c: c}
+}
+
+// specRun is the workload list of one run of the SPEC benchmark bench
+// over the given window, submitted by name (see Submit).
+func specRun(bench string, insts, warmup int64) []core.Workload {
+	return []core.Workload{{Name: bench, MaxInsts: insts, WarmupInsts: warmup}}
 }
 
 // noteHit records one deduplicated submission for the live counters,
@@ -237,82 +245,44 @@ func (e *Engine) noteHit(c *runCall) {
 	e.done.Add(1)
 }
 
-// SubmitSpec schedules one SPEC benchmark run with an explicit
-// measurement window. The program is resolved inside the pooled task, so
-// first-time working-set generation parallelises with other runs.
-func (e *Engine) SubmitSpec(cfg core.Config, bench string, insts, warmup int64) *Future {
-	applyStrategy(&cfg)
-	applyTrace(&cfg)
-	e.applySpec(&cfg)
-	e.jobs.Add(1)
-	if cacheable(&cfg) {
-		key := runKey{cfg: fingerprint(&cfg), ws: specKey(bench, insts, warmup)}
-		e.mu.Lock()
-		if c, ok := e.cache[key]; ok {
-			e.mu.Unlock()
-			e.noteHit(c)
-			return &Future{c: c}
-		}
-		c := &runCall{done: make(chan struct{})}
-		e.cache[key] = c
-		e.mu.Unlock()
-		e.startSpec(cfg, bench, insts, warmup, c)
-		return &Future{c: c}
-	}
-	c := &runCall{done: make(chan struct{})}
-	e.mu.Lock()
-	e.uncached = append(e.uncached, c)
-	e.mu.Unlock()
-	e.startSpec(cfg, bench, insts, warmup, c)
-	return &Future{c: c}
-}
-
-// specKey is the workload identity of a single canonical SPEC run:
-// specProg guarantees one immutable program per name per process, so the
-// name alone identifies it.
-func specKey(bench string, insts, warmup int64) string {
-	return fmt.Sprintf("spec-run:%s|%d|%d", bench, insts, warmup)
-}
-
+// start runs c inside a pool slot: it builds the programs of workloads
+// submitted by name, then simulates.
 func (e *Engine) start(cfg core.Config, c *runCall) {
 	go func() {
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
-		e.runs.Add(1)
-		c.res, c.err = core.Run(cfg, c.ws)
-		e.noteRunDone(c)
-		close(c.done)
-	}()
-}
-
-// noteRunDone feeds an executed run's completion into the live progress
-// counters.
-func (e *Engine) noteRunDone(c *runCall) {
-	if c.err == nil && c.res != nil && c.res.Metrics != nil {
-		e.segs.Add(int64(c.res.Metrics.Segments))
-	}
-	e.done.Add(1)
-}
-
-func (e *Engine) startSpec(cfg core.Config, bench string, insts, warmup int64, c *runCall) {
-	go func() {
-		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
-		prog, err := specProg(bench)
+		ws, err := resolve(c.ws)
 		if err != nil {
 			c.err = err
-			e.done.Add(1)
-			close(c.done)
-			return
+		} else {
+			c.ws = ws
+			e.runs.Add(1)
+			c.res, c.err = core.Run(cfg, ws)
 		}
-		c.ws = []core.Workload{{
-			Name: bench, Prog: prog, MaxInsts: insts, WarmupInsts: warmup,
-		}}
-		e.runs.Add(1)
-		c.res, c.err = core.Run(cfg, c.ws)
-		e.noteRunDone(c)
+		if c.err == nil && c.res.Metrics != nil {
+			e.segs.Add(int64(c.res.Metrics.Segments))
+		}
+		e.done.Add(1)
 		close(c.done)
 	}()
+}
+
+// resolve returns a copy of ws with the program of every workload
+// submitted by name (nil Prog) built by specProg. It copies because
+// submissions may share one slice.
+func resolve(ws []core.Workload) ([]core.Workload, error) {
+	out := append([]core.Workload(nil), ws...)
+	for i := range out {
+		if out[i].Prog != nil {
+			continue
+		}
+		prog, err := specProg(out[i].Name)
+		if err != nil {
+			return nil, err
+		}
+		out[i].Prog = prog
+	}
+	return out, nil
 }
 
 // defaultEngine is the process-wide engine the exported entry points

@@ -108,7 +108,7 @@ func TestSubmitSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.SubmitSpec(cfg, "exchange2", 20_000, 10_000).Wait(); err != nil {
+			if _, err := e.Submit(cfg, specRun("exchange2", 20_000, 10_000)).Wait(); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -116,6 +116,28 @@ func TestSubmitSingleflight(t *testing.T) {
 	wg.Wait()
 	if got := e.Runs(); got != 1 {
 		t.Errorf("8 identical submissions performed %d simulations, want 1", got)
+	}
+}
+
+// TestSpecFormsShareRun asserts a SPEC benchmark submitted by name
+// (specRun) and the same benchmark submitted with its specProg program
+// are one run: one key format, one cache entry, one simulation.
+func TestSpecFormsShareRun(t *testing.T) {
+	e := NewEngine(2)
+	cfg := baselineCfg()
+	byName := e.Submit(cfg, specRun("exchange2", 20_000, 10_000))
+	prog, err := specProg("exchange2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withProg := e.Submit(cfg, []core.Workload{{Name: "exchange2", Prog: prog, MaxInsts: 20_000, WarmupInsts: 10_000}})
+	for _, f := range []*Future{byName, withProg} {
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Runs() != 1 || e.Hits() != 1 {
+		t.Errorf("two forms of one SPEC run: %d runs, %d hits; want 1 run, 1 hit", e.Runs(), e.Hits())
 	}
 }
 
@@ -275,7 +297,7 @@ func TestFingerprintSeparatesConfigs(t *testing.T) {
 	if fingerprint(&a) == fingerprint(&c) {
 		t.Error("checker-count change did not change the fingerprint")
 	}
-	if specKey("mcf", 1000, 500) == specKey("mcf", 1000, 501) {
+	if workloadsKey(specRun("mcf", 1000, 500)) == workloadsKey(specRun("mcf", 1000, 501)) {
 		t.Error("warmup change did not change the spec run key")
 	}
 }

@@ -55,7 +55,6 @@ func strategyConfigs() (order []string, cfgs map[string]core.Config) {
 		case "relaxed":
 			cfg.Strategy = core.StrategyRelaxed
 		}
-		applyTrace(&cfg)
 		cfgs[name] = cfg
 	}
 	return order, cfgs
@@ -66,11 +65,12 @@ func strategyConfigs() (order []string, cfgs map[string]core.Config) {
 // fault-injection campaigns quantifying its detection coverage and
 // latency. Trial seeds derive from the base seed and results land in
 // trial order, so the tables are byte-identical at any worker count.
-func Strategies(sc Scale, seed int64, trials, workers int) (*StrategyResult, error) {
-	return strategyStudy(defaultEngine(), sc, seed, trials, workers)
+// The campaigns run at the shared engine's worker bound.
+func Strategies(sc Scale, seed int64, trials int) (*StrategyResult, error) {
+	return strategyStudy(defaultEngine(), sc, seed, trials)
 }
 
-func strategyStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*StrategyResult, error) {
+func strategyStudy(e *Engine, sc Scale, seed int64, trials int) (*StrategyResult, error) {
 	if trials <= 0 {
 		trials = 4 * sc.FaultTrials
 	}
@@ -124,10 +124,9 @@ func strategyStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Strat
 	// trial i is the same experiment under all four protocols.
 	mix := divergentMix()
 	for _, name := range order {
-		camp, err := fault.RunCampaign(fault.CampaignConfig{
+		camp, err := e.campaign(fault.CampaignConfig{
 			Seed:      seed,
 			Trials:    trials,
-			Workers:   workers,
 			Workloads: ws,
 			Configs:   []core.Config{cfgs[name]},
 			Mix:       &mix,
@@ -136,25 +135,20 @@ func strategyStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Strat
 			return nil, fmt.Errorf("strategy study, %s campaign: %w", name, err)
 		}
 		out.Campaigns[name] = camp
-		defaultEngine().RecordMetrics(camp.RunMetrics())
 	}
 
 	// Phase 3: collect the slowdown and energy tables.
 	for i, w := range ws {
-		baseRes, err := cleanF[i].base.Wait()
+		base, err := clean(cleanF[i].base, "strategy study baseline %s", w.Name)
 		if err != nil {
-			return nil, fmt.Errorf("strategy study baseline %s: %w", w.Name, err)
+			return nil, err
 		}
-		base := baseRes.TimeNS()
 		for _, name := range order {
-			res, err := cleanF[i].strat[name].Wait()
+			res, err := clean(cleanF[i].strat[name], "strategy study %s %s", name, w.Name)
 			if err != nil {
-				return nil, fmt.Errorf("strategy study %s %s: %w", name, w.Name, err)
+				return nil, err
 			}
-			if res.Detections() != 0 {
-				return nil, fmt.Errorf("strategy study %s: clean %s run raised detections", w.Name, name)
-			}
-			out.Slowdown.Values[name][w.Name] = (res.TimeNS()/base - 1) * 100
+			out.Slowdown.Values[name][w.Name] = slowdownPct(res, base)
 			rep, err := core.Energy(cfgs[name], res)
 			if err != nil {
 				return nil, fmt.Errorf("strategy study %s %s energy: %w", name, w.Name, err)

@@ -21,16 +21,17 @@ func strategyScale() Scale {
 }
 
 // TestStrategyStudyDeterminism is the head-to-head experiment's
-// contract: the rendered table is byte-identical at any campaign worker
-// count (trial seeds derive from the base seed; results land in trial
-// order) and the study's shape holds — all four strategies reported,
-// campaigns paired trial-for-trial, finite cost columns.
+// contract: the rendered table is byte-identical at any engine worker
+// count, which also bounds the campaigns (trial seeds derive from the
+// base seed; results land in trial order), and the study's shape holds
+// — all four strategies reported, campaigns paired trial-for-trial,
+// finite cost columns.
 func TestStrategyStudyDeterminism(t *testing.T) {
 	sc := strategyScale()
 	var want string
 	for i, workers := range []int{1, 4} {
 		e := NewEngine(workers)
-		r, err := strategyStudy(e, sc, 11, 4, workers)
+		r, err := strategyStudy(e, sc, 11, 4)
 		if err != nil {
 			t.Fatalf("strategy study at %d workers: %v", workers, err)
 		}

@@ -108,6 +108,11 @@ func TestPinnedCorpusClean(t *testing.T) {
 		seeds = 8
 	}
 	reports := Campaign(Options{Seeds: seeds, Insts: 160, Workers: 4, BaseSeed: 0})
+	// The base-0 corpus never calls one callee from two sites; this seed
+	// does, so it pins the call-multiplicity weighting of the proved
+	// instruction bound (a verifier that counts the callee once proves
+	// 137 instructions and the run retires 145).
+	reports = append(reports, runSeed(0x9eaa7b487a7a4c88, 160))
 	s := Summarize(reports)
 	if s.Mismatches != 0 || s.ScreenFailures != 0 {
 		for _, r := range reports {
