@@ -25,14 +25,9 @@
 // warmup (scaled down from the paper's 1B-instruction windows after 10B
 // fast-forward).
 //
-// -strategy selects the checker verification strategy (lockstep,
-// chunk-replay, relaxed; default auto) for every full-coverage lockstep
-// run an experiment submits; the "strategies" experiment runs the
-// head-to-head comparison across all of them regardless of the flag.
-// -strategy divergent is rejected: divergent checking builds a
-// decorrelation plan per workload and cannot take multi-hart
-// workloads, so it is no process-wide override (the divergent and
-// strategies experiments run it).
+// Checker strategies are fixed per configuration: every figure runs the
+// paper's lockstep scheme, and the "strategies" and "divergent"
+// experiments compare the strategies head to head.
 //
 // -j N bounds the simulation worker pool (default GOMAXPROCS). "all"
 // runs every experiment concurrently over the shared result cache, so
@@ -60,7 +55,6 @@ import (
 	"strings"
 	"time"
 
-	"paraverser/internal/core"
 	"paraverser/internal/experiments"
 	"paraverser/internal/obs"
 )
@@ -84,7 +78,6 @@ func run(args []string) int {
 	fuzzSeeds := fs.Int("fuzz-seeds", 256, "seeds for the fuzz experiment (deterministic at any -j)")
 	fuzzInsts := fs.Int("fuzz-insts", 200, "per-program instruction target for the fuzz experiment")
 	workers := fs.Int("j", 0, "concurrent simulation runs and campaign trials (0 = GOMAXPROCS)")
-	strategy := fs.String("strategy", "auto", "checker verification strategy for full-coverage lockstep runs: auto, lockstep, chunk-replay, relaxed")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	metricsOut := fs.String("metrics-out", "", "write the deterministic run-metrics snapshot as JSON to this file on exit")
@@ -188,17 +181,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "paraverser: -fuzz-insts must be >= 1 (got %d)\n", *fuzzInsts)
 		return 2
 	}
-	st, err := core.ParseStrategy(*strategy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paraverser: -strategy: %v\n", err)
-		return 2
-	}
-	if st == core.StrategyDivergent {
-		fmt.Fprintf(os.Stderr, "paraverser: -strategy divergent is not a process-wide override: divergent checking needs per-workload decorrelation plans and single-hart workloads (run the divergent or strategies experiment instead)\n")
-		return 2
-	}
 	experiments.SetWorkers(*workers)
-	experiments.SetStrategy(st)
 
 	var trace *obs.Trace
 	if *traceOut != "" {

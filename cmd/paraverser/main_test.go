@@ -28,11 +28,10 @@ func TestRunArgHandling(t *testing.T) {
 }
 
 // TestFlagValidation pins the usage-error contract across every numeric
-// and enumerated knob: an out-of-range or unparsable value must exit 2
+// knob: an out-of-range or unparsable value must exit 2
 // with a one-line diagnostic before any simulation starts, and the
 // valid edge values must not trip the validators.
 func TestFlagValidation(t *testing.T) {
-	defer experiments.SetStrategy(0)
 	cases := []struct {
 		name string
 		args []string
@@ -49,15 +48,8 @@ func TestFlagValidation(t *testing.T) {
 		{"negative -fuzz-seeds", []string{"-fuzz-seeds", "-16", "table1"}, 2},
 		{"zero -fuzz-insts", []string{"-fuzz-insts", "0", "table1"}, 2},
 		{"negative -fuzz-insts", []string{"-fuzz-insts", "-200", "table1"}, 2},
-		{"unknown -strategy", []string{"-strategy", "bogus", "table1"}, 2},
-		{"divergent -strategy", []string{"-strategy", "divergent", "table1"}, 2},
-		// Valid edges: zero means "default" for the counts, and every
-		// named strategy the flag accepts must reach the experiment.
+		// Valid edge: zero means "default" for the counts.
 		{"zero -j", []string{"-j", "0", "table1"}, 0},
-		{"auto -strategy", []string{"-strategy", "auto", "table1"}, 0},
-		{"lockstep -strategy", []string{"-strategy", "lockstep", "table1"}, 0},
-		{"chunk-replay -strategy", []string{"-strategy", "chunk-replay", "table1"}, 0},
-		{"relaxed -strategy", []string{"-strategy", "relaxed", "table1"}, 0},
 	}
 	for _, tc := range cases {
 		if code := run(tc.args); code != tc.want {

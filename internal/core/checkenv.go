@@ -62,12 +62,6 @@ type CheckerEnv struct {
 
 var _ emu.Env = (*CheckerEnv)(nil)
 
-// NewCheckerEnv builds the replay environment for one segment. rcu
-// supplies Hash Mode state; it may be a non-hash RCU.
-func NewCheckerEnv(seg *Segment, lsc *LSC, rcu *RCU) *CheckerEnv {
-	return &CheckerEnv{logCursor: logCursor{seg: seg}, lsc: lsc, rcu: rcu}
-}
-
 // Load implements emu.Env: the LSL$ supplies the original run's data so
 // replay is exact regardless of intervening multicore communication
 // (section IV-B); the LSC verifies the address.

@@ -123,7 +123,7 @@ type Config struct {
 	// Strategy selects the segment-verification strategy (strategy.go):
 	// scheduling granularity, the comparison domain (identical replay or
 	// a decorrelated variant), and how checker acquisition couples to
-	// main-core commit. The zero value (StrategyAuto) runs lockstep.
+	// main-core commit. The zero value is lockstep.
 	// Unlike Spec below, the strategy changes simulated outcomes and is
 	// part of the run-cache fingerprint.
 	Strategy Strategy
@@ -258,7 +258,7 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
-	switch c.ResolvedStrategy() {
+	switch c.Strategy {
 	case StrategyLockstep:
 	case StrategyDivergent:
 		if len(c.Checkers) > 0 {

@@ -45,10 +45,6 @@ func (h *hashState) sum() [32]byte {
 // NewRCU returns a unit; hashMode enables digest accumulation.
 func NewRCU(hashMode bool) *RCU { return &RCU{hashMode: hashMode} }
 
-// Checkpoint copies the architectural register file (the start or end
-// checkpoint sent over the NoC).
-func (r *RCU) Checkpoint(st *emu.ArchState) emu.ArchState { return *st }
-
 // Compare checks a checker core's architectural state against the stored
 // end checkpoint, returning true when they match. This is the induction
 // step: segment N is correct if its loads/stores matched and its end

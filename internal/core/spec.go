@@ -208,14 +208,6 @@ func (c *SpecCache) seedFor(prog *isa.Program, seed uint64) uint64 {
 	return seed
 }
 
-// SetLimit caps recorded-stream memory: once exceeded, new recordings
-// are refused (existing streams keep replaying).
-func (c *SpecCache) SetLimit(bytes int) {
-	c.mu.Lock()
-	c.maxBytes = bytes
-	c.mu.Unlock()
-}
-
 // Stats returns a snapshot of the cache's counters.
 func (c *SpecCache) Stats() obs.SpecSnapshot { return c.stats.Snapshot() }
 
@@ -469,7 +461,7 @@ func (s *System) laneSpecEligible(l *lane) (replay, record bool) {
 		return true, true
 	}
 	if !s.pipelined {
-		return s.cfg.ResolvedStrategy() == StrategyLockstep, false
+		return s.cfg.Strategy == StrategyLockstep, false
 	}
 	record = s.cfg.Mode == ModeFullCoverage
 	if record {

@@ -132,6 +132,31 @@ func TestSpecRecordReplayInvariance(t *testing.T) {
 	}
 }
 
+// TestSpecCacheOverBudgetRunsLive pins the byte budget: a cache that is
+// already at its limit records nothing, and runs through it fall back to
+// the live loop and render exactly as runs without a cache.
+func TestSpecCacheOverBudgetRunsLive(t *testing.T) {
+	prog := mixedProgram(12000)
+	ws := []Workload{
+		{Name: "m0", Prog: prog, MaxInsts: 8000, WarmupInsts: 2000},
+		{Name: "m1", Prog: prog, WarmupInsts: 1500},
+	}
+	cfg := DefaultConfig(a510Checkers(2, 2.0))
+	base := runSpec(t, cfg, ws)
+
+	cache := NewSpecCache()
+	cache.maxBytes = 0
+	cfg.Spec = cache
+	for i := 0; i < 2; i++ {
+		if got := runSpec(t, cfg, ws); got != base {
+			t.Fatalf("over-budget run %d diverged from the run without a cache:\n--- base ---\n%s\n--- got ---\n%s", i, base, got)
+		}
+	}
+	if st := cache.Stats(); st.StreamsRecorded != 0 {
+		t.Errorf("over-budget cache recorded %d streams, want 0", st.StreamsRecorded)
+	}
+}
+
 // TestSpecTimeShardInvariance pins the SpecCache under concurrent use:
 // the experiment engine hands one cache to all of its -j workers, so
 // several runs may race to record the same stream while others replay

@@ -2,7 +2,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"paraverser/internal/emu"
@@ -10,18 +9,16 @@ import (
 
 // Strategy selects the segment-verification strategy: the granularity at
 // which checker work is scheduled, the comparison domain, and how checker
-// acquisition couples to main-core commit. The zero value (StrategyAuto)
-// runs lockstep, so existing configurations keep their meaning.
+// acquisition couples to main-core commit. The zero value is lockstep,
+// the paper's scheme; the others exist for the strategies and divergent
+// studies, which set them per configuration.
 type Strategy uint8
 
 const (
-	// StrategyAuto resolves to lockstep unless a process-wide override
-	// (experiments.SetStrategy) applies to the configuration.
-	StrategyAuto Strategy = iota
 	// StrategyLockstep is the paper's scheme: per-segment dispatch,
 	// identical replay, full LSC/RCU comparison. The only strategy
 	// whose checks may defer their joins (pipeline.go).
-	StrategyLockstep
+	StrategyLockstep Strategy = iota
 	// StrategyDivergent is DME-style multi-version checking: per-segment
 	// dispatch, but the checker replays a structurally decorrelated
 	// program variant (shifted data segment, permuted register
@@ -49,8 +46,6 @@ const (
 
 func (s Strategy) String() string {
 	switch s {
-	case StrategyAuto:
-		return "auto"
 	case StrategyLockstep:
 		return "lockstep"
 	case StrategyDivergent:
@@ -62,32 +57,6 @@ func (s Strategy) String() string {
 	default:
 		return "invalid"
 	}
-}
-
-// ParseStrategy parses a CLI strategy name.
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "auto":
-		return StrategyAuto, nil
-	case "lockstep":
-		return StrategyLockstep, nil
-	case "divergent":
-		return StrategyDivergent, nil
-	case "chunk-replay":
-		return StrategyChunkReplay, nil
-	case "relaxed":
-		return StrategyRelaxed, nil
-	}
-	return StrategyAuto, fmt.Errorf("core: unknown checking strategy %q (want auto, lockstep, divergent, chunk-replay or relaxed)", name)
-}
-
-// ResolvedStrategy returns the strategy a run will actually use:
-// Config.Strategy, or lockstep when that is StrategyAuto.
-func (c *Config) ResolvedStrategy() Strategy {
-	if c.Strategy != StrategyAuto {
-		return c.Strategy
-	}
-	return StrategyLockstep
 }
 
 const (
@@ -110,7 +79,7 @@ const (
 //
 //paralint:hotpath
 func (s *System) acquire(l *lane, now float64) (*Checker, float64) {
-	switch s.cfg.ResolvedStrategy() {
+	switch s.cfg.Strategy {
 	case StrategyChunkReplay:
 		s.chunkAcquire(l)
 		return nil, math.Inf(1)

@@ -224,8 +224,8 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 	// replay and relaxed start dispatch past segment close.
 	s.pipelined = len(cfg.Checkers) > 0 && !cfg.Recovery.Enabled &&
 		cfg.CheckerInterceptor == nil && cfg.MainInterceptor == nil &&
-		cfg.ResolvedStrategy() == StrategyLockstep
-	divergent := cfg.ResolvedStrategy() == StrategyDivergent
+		cfg.Strategy == StrategyLockstep
+	divergent := cfg.Strategy == StrategyDivergent
 
 	laneIdx := 0
 	for _, w := range workloads {
@@ -298,7 +298,7 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 
 	if len(s.cfg.Checkers) > 0 {
 		ckMode := cpu.ModeChecker
-		if s.cfg.ResolvedStrategy() == StrategyDivergent {
+		if s.cfg.Strategy == StrategyDivergent {
 			ckMode = cpu.ModeCheckerDivergent
 		}
 		var checkers []*Checker
@@ -334,7 +334,7 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 			// deferred-join protocol.
 			l.alloc.SetJoin(func(c *Checker) { s.joinCheck(c) })
 		}
-		if s.cfg.ResolvedStrategy() == StrategyChunkReplay {
+		if s.cfg.Strategy == StrategyChunkReplay {
 			// Pre-size the chunk arenas for one full chunk of typical
 			// segments so accumulation rarely grows them.
 			l.chunk = &chunkState{

@@ -62,8 +62,3 @@ type Effect struct {
 
 	Mem [MaxMemOps]MemOp
 }
-
-// IsLoggedMem reports whether the effect produces a load-store-log entry.
-func (e *Effect) IsLoggedMem() bool {
-	return e.NMem > 0 || e.NonRepeat
-}

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"paraverser/internal/core"
 	"paraverser/internal/fault"
+	"paraverser/internal/isa"
 	"paraverser/internal/stats"
 	"paraverser/internal/workload/gap"
 	"paraverser/internal/workload/parsec"
@@ -45,27 +47,38 @@ func divergentWorkloads(sc Scale) ([]core.Workload, error) {
 		}
 		ws = append(ws, core.Workload{Name: bench, Prog: prog, MaxInsts: sc.FaultHorizon})
 	}
-	g := gap.Kronecker(sc.GAPScale, sc.GAPEdgeFactor, 1)
-	bfs, _ := gap.BFS(g, 0)
-	pr, _ := gap.PageRank(g, 4)
+	p := studyProgs(sc)
 	ws = append(ws,
-		core.Workload{Name: "gap.bfs", Prog: bfs, MaxInsts: sc.FaultHorizon},
-		core.Workload{Name: "gap.pr", Prog: pr, MaxInsts: sc.FaultHorizon},
-		core.Workload{Name: "parsec.blackscholes1", Prog: parsec.BlackscholesThreads(sc.ParsecScale, 1), MaxInsts: sc.FaultHorizon},
+		core.Workload{Name: "gap.bfs", Prog: p.bfs, MaxInsts: sc.FaultHorizon},
+		core.Workload{Name: "gap.pr", Prog: p.pr, MaxInsts: sc.FaultHorizon},
+		core.Workload{Name: "parsec.blackscholes1", Prog: p.bs, MaxInsts: sc.FaultHorizon},
 	)
 	return ws, nil
 }
 
-// divergentConfigs returns the matched lockstep and divergent system
-// configurations: identical checker pools, identical recovery policy —
-// the only difference is the strategy, so every delta in the tables is
-// attributable to decorrelation.
-func divergentConfigs() (lockstep, divergent core.Config) {
-	lockstep = core.DefaultConfig(a510Spec(4, 2.0))
-	lockstep.Recovery = core.DefaultRecovery()
-	divergent = lockstep
-	divergent.Strategy = core.StrategyDivergent
-	return lockstep, divergent
+// studyProgCache holds divergentWorkloads' GAP and PARSEC programs, one
+// entry per scale. The run cache identifies these programs by pointer,
+// so building them once is what lets the divergent and strategies
+// studies share their clean runs.
+var studyProgCache sync.Map // studyProgKey -> *studyProgEntry
+
+type studyProgKey struct{ gapScale, gapEdgeFactor, parsecScale int }
+
+type studyProgEntry struct {
+	once        sync.Once
+	bfs, pr, bs *isa.Program
+}
+
+func studyProgs(sc Scale) *studyProgEntry {
+	v, _ := studyProgCache.LoadOrStore(studyProgKey{sc.GAPScale, sc.GAPEdgeFactor, sc.ParsecScale}, &studyProgEntry{})
+	e := v.(*studyProgEntry)
+	e.once.Do(func() {
+		g := gap.Kronecker(sc.GAPScale, sc.GAPEdgeFactor, 1)
+		e.bfs, _ = gap.BFS(g, 0)
+		e.pr, _ = gap.PageRank(g, 4)
+		e.bs = parsec.BlackscholesThreads(sc.ParsecScale, 1)
+	})
+	return e
 }
 
 // divergentMix weights the campaign toward the common-mode memory-path
@@ -78,10 +91,8 @@ func divergentMix() fault.FaultMix {
 // Divergent runs the figure-style divergent-vs-lockstep study: paired
 // fault-injection campaigns quantifying the coverage gain on common-mode
 // memory-path faults, plus fault-free runs quantifying the slowdown the
-// divergent checker pays for using the real memory hierarchy. Trial
-// seeds derive from the base seed and results land in trial order, so
-// the tables are byte-identical at any worker count. The campaigns run
-// at the shared engine's worker bound.
+// divergent checker pays for using the real memory hierarchy
+// (pairedStudy). The campaigns run at the shared engine's worker bound.
 func Divergent(sc Scale, seed int64, trials int) (*DivergentResult, error) {
 	return divergentStudy(defaultEngine(), sc, seed, trials)
 }
@@ -90,62 +101,19 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials int) (*DivergentResu
 	if trials <= 0 {
 		trials = 6 * sc.FaultTrials
 	}
-	ws, err := divergentWorkloads(sc)
+	runs, err := pairedStudy(e, sc, seed, trials, "divergent",
+		"Divergent vs lockstep checking: full-coverage slowdown, 4xA510@2GHz",
+		[]core.Strategy{core.StrategyLockstep, core.StrategyDivergent})
 	if err != nil {
 		return nil, err
 	}
-	lockCfg, divCfg := divergentConfigs()
-
-	out := &DivergentResult{Slowdown: &SeriesResult{
-		Title:  "Divergent vs lockstep checking: full-coverage slowdown, 4xA510@2GHz",
-		Metric: "slowdown % vs no-checking baseline",
-		Values: map[string]map[string]float64{"lockstep": {}, "divergent": {}},
-		Order:  []string{"lockstep", "divergent"},
-	}}
-
-	// Phase 1: fault-free slowdown runs, all in flight at once. The
-	// campaign phase below bypasses the engine (private injectors), so
-	// kicking these off first keeps the pool busy throughout.
-	type slowRun struct {
-		base *Future
-		runs map[string]*Future // by Slowdown.Order label
+	out := &DivergentResult{
+		Slowdown:  runs.slowdown,
+		Lockstep:  runs.campaigns[core.StrategyLockstep.String()],
+		Divergent: runs.campaigns[core.StrategyDivergent.String()],
 	}
-	slowF := make([]slowRun, len(ws))
-	for i, w := range ws {
-		out.Slowdown.Benchmarks = append(out.Slowdown.Benchmarks, w.Name)
-		one := []core.Workload{{Name: w.Name, Prog: w.Prog, MaxInsts: sc.Insts, WarmupInsts: sc.Warmup}}
-		slowF[i] = slowRun{base: e.Submit(baselineCfg(), one), runs: map[string]*Future{
-			"lockstep":  e.Submit(lockCfg, one),
-			"divergent": e.Submit(divCfg, one),
-		}}
-	}
-
-	// Phase 2: the paired campaigns. Same seed, same trial count, same
-	// workload pool, one config each: genTrial's per-trial rng draws the
-	// identical (fault, workload, checker) stream for both, so trial i
-	// is the same experiment under the two strategies.
-	mix := divergentMix()
-	run := func(cfg core.Config) (*fault.CampaignResult, error) {
-		return e.campaign(fault.CampaignConfig{
-			Seed:      seed,
-			Trials:    trials,
-			Workloads: ws,
-			Configs:   []core.Config{cfg},
-			Mix:       &mix,
-		})
-	}
-	if out.Lockstep, err = run(lockCfg); err != nil {
-		return nil, fmt.Errorf("divergent study, lockstep campaign: %w", err)
-	}
-	if out.Divergent, err = run(divCfg); err != nil {
-		return nil, fmt.Errorf("divergent study, divergent campaign: %w", err)
-	}
-
 	for i := range out.Lockstep.Trials {
 		lt, dt := &out.Lockstep.Trials[i], &out.Divergent.Trials[i]
-		if lt.Fault != dt.Fault || lt.Workload != dt.Workload {
-			return nil, fmt.Errorf("divergent study: trial %d not paired (%v vs %v)", i, lt.Fault, dt.Fault)
-		}
 		switch {
 		case lt.Outcome == fault.UndetectedSDC:
 			out.Escapes++
@@ -154,21 +122,6 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials int) (*DivergentResu
 			}
 		case lt.Outcome == fault.Detected && dt.Outcome != fault.Detected:
 			out.Regressed++
-		}
-	}
-
-	// Phase 3: collect the slowdown table.
-	for i, w := range ws {
-		base, err := clean(slowF[i].base, "divergent study baseline %s", w.Name)
-		if err != nil {
-			return nil, err
-		}
-		for _, label := range out.Slowdown.Order {
-			res, err := clean(slowF[i].runs[label], "divergent study %s %s", label, w.Name)
-			if err != nil {
-				return nil, err
-			}
-			out.Slowdown.Values[label][w.Name] = slowdownPct(res, base)
 		}
 	}
 	out.Slowdown.Notes = append(out.Slowdown.Notes,

@@ -59,11 +59,7 @@ func fig6(e *Engine, sc Scale) (*SeriesResult, error) {
 	// DVFS sweep up front; the engine runs them in parallel and shares
 	// repeats.
 	baseF, runF := sc.submitMatrix(e, configs, r.Benchmarks)
-	for _, bench := range r.Benchmarks {
-		for _, f := range sc.ED2PFreqs {
-			sc.submit(e, ed2pCfg(f), bench)
-		}
-	}
+	ed2pF := sc.submitED2P(e, r.Benchmarks)
 
 	// Assemble in deterministic label/benchmark order.
 	for _, bench := range r.Benchmarks {
@@ -78,7 +74,7 @@ func fig6(e *Engine, sc Scale) (*SeriesResult, error) {
 			}
 			r.Values[nc.Label][bench] = slowdownPct(res, base)
 		}
-		slow, _, err := ed2pPoint(e, sc, bench, base)
+		slow, _, err := ed2pPoint(sc, bench, ed2pF[bench], base)
 		if err != nil {
 			return nil, err
 		}
@@ -91,23 +87,29 @@ func fig6(e *Engine, sc Scale) (*SeriesResult, error) {
 	return r, nil
 }
 
+// submitED2P submits the 4xA510 DVFS sweep on each benchmark and
+// returns its futures by benchmark, in sc.ED2PFreqs order.
+func (sc Scale) submitED2P(e *Engine, benches []string) map[string][]*Future {
+	futs := make(map[string][]*Future, len(benches))
+	for _, bench := range benches {
+		for _, f := range sc.ED2PFreqs {
+			futs[bench] = append(futs[bench], sc.submit(e, ed2pCfg(f), bench))
+		}
+	}
+	return futs
+}
+
 // ed2pPoint searches the A510 DVFS points for the frequency minimising
 // energy x delay² on one benchmark, returning its slowdown percentage and
-// checking-energy overhead. Every DVFS run goes through the engine's
-// cache, so points the figure (or an earlier study) already simulated are
-// not re-run.
-func ed2pPoint(e *Engine, sc Scale, bench string, base *core.Result) (slowPct, energyOverhead float64, err error) {
+// checking-energy overhead. futs are the benchmark's submitED2P futures.
+func ed2pPoint(sc Scale, bench string, futs []*Future, base *core.Result) (slowPct, energyOverhead float64, err error) {
 	type point struct {
 		slow, overhead float64
 		energyJ, dNS   float64
 	}
 	points := make(map[float64]point, len(sc.ED2PFreqs))
-	futs := make(map[float64]*Future, len(sc.ED2PFreqs))
-	for _, f := range sc.ED2PFreqs {
-		futs[f] = sc.submit(e, ed2pCfg(f), bench)
-	}
-	for _, f := range sc.ED2PFreqs {
-		res, err := clean(futs[f], "fig6 ed2p %s @%.2gGHz", bench, f)
+	for i, f := range sc.ED2PFreqs {
+		res, err := clean(futs[i], "fig6 ed2p %s @%.2gGHz", bench, f)
 		if err != nil {
 			return 0, 0, err
 		}

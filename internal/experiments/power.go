@@ -52,11 +52,7 @@ func powerStudy(e *Engine, sc Scale) (*PowerResult, error) {
 
 	benches := sc.benchmarks()
 	baseF, runF := sc.submitMatrix(e, configs, benches)
-	for _, bench := range benches {
-		for _, f := range sc.ED2PFreqs {
-			sc.submit(e, ed2pCfg(f), bench)
-		}
-	}
+	ed2pF := sc.submitED2P(e, benches)
 
 	for _, nc := range configs {
 		var overheads, slows []float64
@@ -92,7 +88,7 @@ func powerStudy(e *Engine, sc Scale) (*PowerResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		slow, overhead, err := ed2pPoint(e, sc, bench, base)
+		slow, overhead, err := ed2pPoint(sc, bench, ed2pF[bench], base)
 		if err != nil {
 			return nil, err
 		}

@@ -141,10 +141,8 @@ func writeConfig(w io.Writer, cfg *core.Config) {
 	fmt.Fprintf(w, "mode=%v hash=%v eager=%v timeout=%v dedlsl=%v ckpt=%v/%v\n",
 		cfg.Mode, cfg.HashMode, cfg.EagerWake, cfg.TimeoutInsts,
 		cfg.DedicatedLSLBytes, cfg.CheckpointStallCycles, cfg.CheckpointDrains)
-	// The verification strategy hashes in resolved form so an explicit
-	// StrategyLockstep and the Auto default (which resolves to it) share
-	// one cache entry — they are the same simulation.
-	fmt.Fprintf(w, "strategy=%v\n", cfg.ResolvedStrategy())
+	// The verification strategy (lockstep is the zero value).
+	fmt.Fprintf(w, "strategy=%v\n", cfg.Strategy)
 	// 11-12: interrupt and sampling policy.
 	fmt.Fprintf(w, "irq=%v sample=%v\n", cfg.InterruptIntervalInsts, cfg.SamplePeriod)
 	// 13-15: mesh, layout (dereferenced), LSL traffic accounting.

@@ -197,7 +197,6 @@ func (f *Future) Wait() (*core.Result, error) {
 // submissions always execute privately but still occupy pool slots, so
 // fault-injection matrices parallelise under the same bound.
 func (e *Engine) Submit(cfg core.Config, ws []core.Workload) *Future {
-	applyStrategy(&cfg)
 	applyTrace(&cfg)
 	e.applySpec(&cfg)
 	e.jobs.Add(1)
@@ -324,44 +323,6 @@ func (e *Engine) applySpec(cfg *core.Config) {
 	if cacheable(cfg) && cfg.Spec == nil {
 		cfg.Spec = e.spec
 	}
-}
-
-// processStrategy is the verification strategy applied to submitted
-// configurations that leave Config.Strategy at its Auto zero value
-// (-strategy on the CLI). Unlike the SpecCache it DOES change
-// simulated outcomes — chunk-replay and relaxed-start alter timing and
-// detection latency by design — which is exactly why Strategy is hashed
-// into the cache fingerprint: runs under different strategies occupy
-// distinct cache entries.
-var processStrategy atomic.Int64
-
-// SetStrategy selects the checker strategy for subsequent submissions
-// that don't pin one themselves (core.StrategyAuto restores the
-// default). Only configurations the strategy is valid for are
-// overridden; the rest keep their Auto resolution — see applyStrategy.
-func SetStrategy(st core.Strategy) { processStrategy.Store(int64(st)) }
-
-// applyStrategy installs the process-wide strategy override on eligible
-// submissions. Experiments mix many configurations (opportunistic,
-// hash-mode, divergent, checker-less baselines, fault trials with
-// recovery), and the alternative strategies only define behaviour for
-// plain full-coverage lockstep verification — so the override is a
-// filter, not a blanket: ineligible configs run exactly as they would
-// without the flag rather than failing Validate. Fault-injection runs
-// are also skipped: campaign trials force recovery on, and comparing a
-// "-strategy chunk-replay" campaign against the same campaign without
-// the flag is precisely the strategies experiment's job, with explicit
-// per-strategy configs.
-func applyStrategy(cfg *core.Config) {
-	st := core.Strategy(processStrategy.Load())
-	if st == core.StrategyAuto || cfg.Strategy != core.StrategyAuto {
-		return
-	}
-	if cfg.Mode != core.ModeFullCoverage || cfg.HashMode || cfg.Recovery.Enabled ||
-		!cacheable(cfg) || len(cfg.Checkers) == 0 {
-		return
-	}
-	cfg.Strategy = st
 }
 
 // traceDest, when set, is installed on every submitted configuration

@@ -98,6 +98,29 @@ func TestRunCacheMemoizes(t *testing.T) {
 	}
 }
 
+// TestFig6SubmitsDVFSOnce asserts fig. 6 submits each DVFS point of its
+// ED²P sweep once: one benchmark is the baseline, five configurations
+// and two DVFS points, eight jobs, and the only hit is the 2.0 GHz
+// point, which is the 4xA510@2.0 configuration.
+func TestFig6SubmitsDVFSOnce(t *testing.T) {
+	sc := tinyScale()
+	sc.Benchmarks = []string{"exchange2"}
+	sc.ED2PFreqs = []float64{1.4, 2.0}
+	e := NewEngine(2)
+	if _, err := fig6(e, sc); err != nil {
+		t.Fatal(err)
+	}
+	if jobs := e.ProgressStats().JobsTotal; jobs != 8 || e.Runs() != 7 || e.Hits() != 1 {
+		t.Errorf("fig6: %d jobs, %d runs, %d hits; want 8 jobs, 7 runs, 1 hit", jobs, e.Runs(), e.Hits())
+	}
+	ws := specRun("exchange2", sc.Insts, sc.Warmup)
+	a510 := core.DefaultConfig(a510Spec(4, 2.0))
+	dvfs := ed2pCfg(2.0)
+	if keyFor(&dvfs, ws) != keyFor(&a510, ws) {
+		t.Error("the 2.0 GHz DVFS point and 4xA510@2.0 have different run keys")
+	}
+}
+
 // TestSubmitSingleflight asserts identical concurrent submissions share
 // one simulation.
 func TestSubmitSingleflight(t *testing.T) {

@@ -35,37 +35,119 @@ type StrategyResult struct {
 	AreaOverheadPct float64
 }
 
-// strategyConfigs returns one matched configuration per strategy:
-// identical main core, checker pool and recovery policy — only the
-// verification protocol differs.
-func strategyConfigs() (order []string, cfgs map[string]core.Config) {
-	base := core.DefaultConfig(a510Spec(4, 2.0))
-	base.Recovery = core.DefaultRecovery()
-	order = []string{"lockstep", "divergent", "chunk-replay", "relaxed"}
-	cfgs = make(map[string]core.Config, len(order))
-	for _, name := range order {
-		cfg := base
-		switch name {
-		case "lockstep":
-			cfg.Strategy = core.StrategyLockstep
-		case "divergent":
-			cfg.Strategy = core.StrategyDivergent
-		case "chunk-replay":
-			cfg.Strategy = core.StrategyChunkReplay
-		case "relaxed":
-			cfg.Strategy = core.StrategyRelaxed
-		}
-		cfgs[name] = cfg
+// studyConfig is the strategy studies' system under st: 4xA510@2GHz
+// with the default recovery policy. Main core, checker pool and recovery
+// are identical for every strategy, so each delta in the tables is the
+// verification protocol's alone.
+func studyConfig(st core.Strategy) core.Config {
+	cfg := core.DefaultConfig(a510Spec(4, 2.0))
+	cfg.Recovery = core.DefaultRecovery()
+	cfg.Strategy = st
+	return cfg
+}
+
+// pairedRuns is what pairedStudy hands the divergent and strategies
+// studies, keyed by Strategy.String().
+type pairedRuns struct {
+	// slowdown is the per-workload slowdown table vs the no-checking
+	// baseline, one column per strategy.
+	slowdown *SeriesResult
+	// campaigns are the paired fault-injection campaigns.
+	campaigns map[string]*fault.CampaignResult
+	// clean are the fault-free results in workload order.
+	clean map[string][]*core.Result
+}
+
+// pairedStudy runs strats head to head over the divergentWorkloads pool:
+// fault-free runs for each strategy's slowdown plus one fault-injection
+// campaign per strategy. Same seed, trial count, workload pool and mix,
+// one config each: genTrial's per-trial rng draws the identical (fault,
+// workload, checker) stream for every strategy, so trial i is the same
+// experiment under all of them. Trial seeds derive from the base seed
+// and results land in trial order, so the results are byte-identical at
+// any worker count. study names the caller in errors.
+func pairedStudy(e *Engine, sc Scale, seed int64, trials int, study, title string, strats []core.Strategy) (*pairedRuns, error) {
+	ws, err := divergentWorkloads(sc)
+	if err != nil {
+		return nil, err
 	}
-	return order, cfgs
+	out := &pairedRuns{
+		slowdown: &SeriesResult{
+			Title:  title,
+			Metric: "slowdown % vs no-checking baseline",
+			Values: make(map[string]map[string]float64, len(strats)),
+		},
+		campaigns: make(map[string]*fault.CampaignResult, len(strats)),
+		clean:     make(map[string][]*core.Result, len(strats)),
+	}
+	for _, st := range strats {
+		out.slowdown.Order = append(out.slowdown.Order, st.String())
+		out.slowdown.Values[st.String()] = map[string]float64{}
+	}
+
+	// Phase 1: fault-free runs, all in flight at once. The campaign
+	// phase bypasses the engine (private injectors), so kicking these
+	// off first keeps the pool busy throughout.
+	baseF := make([]*Future, len(ws))
+	runF := make([][]*Future, len(ws))
+	for i, w := range ws {
+		out.slowdown.Benchmarks = append(out.slowdown.Benchmarks, w.Name)
+		one := []core.Workload{{Name: w.Name, Prog: w.Prog, MaxInsts: sc.Insts, WarmupInsts: sc.Warmup}}
+		baseF[i] = e.Submit(baselineCfg(), one)
+		for _, st := range strats {
+			runF[i] = append(runF[i], e.Submit(studyConfig(st), one))
+		}
+	}
+
+	// Phase 2: the paired campaigns.
+	mix := divergentMix()
+	var first *fault.CampaignResult
+	for _, st := range strats {
+		camp, err := e.campaign(fault.CampaignConfig{
+			Seed:      seed,
+			Trials:    trials,
+			Workloads: ws,
+			Configs:   []core.Config{studyConfig(st)},
+			Mix:       &mix,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s study, %v campaign: %w", study, st, err)
+		}
+		if first == nil {
+			first = camp
+		}
+		for i := range camp.Trials {
+			ft, t := &first.Trials[i], &camp.Trials[i]
+			if ft.Fault != t.Fault || ft.Workload != t.Workload {
+				return nil, fmt.Errorf("%s study: %v trial %d not paired (%v vs %v)", study, st, i, ft.Fault, t.Fault)
+			}
+		}
+		out.campaigns[st.String()] = camp
+	}
+
+	// Phase 3: collect the slowdown table.
+	for i, w := range ws {
+		base, err := clean(baseF[i], "%s study baseline %s", study, w.Name)
+		if err != nil {
+			return nil, err
+		}
+		for j, name := range out.slowdown.Order {
+			res, err := clean(runF[i][j], "%s study %s %s", study, name, w.Name)
+			if err != nil {
+				return nil, err
+			}
+			out.slowdown.Values[name][w.Name] = slowdownPct(res, base)
+			out.clean[name] = append(out.clean[name], res)
+		}
+	}
+	return out, nil
 }
 
 // Strategies runs the checker-strategy head-to-head: fault-free runs
 // quantifying each strategy's slowdown and energy overhead, plus paired
 // fault-injection campaigns quantifying its detection coverage and
-// latency. Trial seeds derive from the base seed and results land in
-// trial order, so the tables are byte-identical at any worker count.
-// The campaigns run at the shared engine's worker bound.
+// latency (pairedStudy). The campaigns run at the shared engine's worker
+// bound.
 func Strategies(sc Scale, seed int64, trials int) (*StrategyResult, error) {
 	return strategyStudy(defaultEngine(), sc, seed, trials)
 }
@@ -74,86 +156,33 @@ func strategyStudy(e *Engine, sc Scale, seed int64, trials int) (*StrategyResult
 	if trials <= 0 {
 		trials = 4 * sc.FaultTrials
 	}
-	ws, err := divergentWorkloads(sc)
+	strats := []core.Strategy{core.StrategyLockstep, core.StrategyDivergent, core.StrategyChunkReplay, core.StrategyRelaxed}
+	runs, err := pairedStudy(e, sc, seed, trials, "strategy",
+		"Checker strategies: full-coverage slowdown, 4xA510@2GHz", strats)
 	if err != nil {
 		return nil, err
 	}
-	order, cfgs := strategyConfigs()
-
 	out := &StrategyResult{
-		Order:             order,
-		Campaigns:         make(map[string]*fault.CampaignResult, len(order)),
-		EnergyOverheadPct: make(map[string]float64, len(order)),
-		Slowdown: &SeriesResult{
-			Title:  "Checker strategies: full-coverage slowdown, 4xA510@2GHz",
-			Metric: "slowdown % vs no-checking baseline",
-			Values: map[string]map[string]float64{},
-			Order:  order,
-		},
+		Order:             runs.slowdown.Order,
+		Slowdown:          runs.slowdown,
+		Campaigns:         runs.campaigns,
+		EnergyOverheadPct: make(map[string]float64, len(strats)),
 	}
-	for _, name := range order {
-		out.Slowdown.Values[name] = map[string]float64{}
-	}
-	main := cfgs[order[0]]
+	cfg := studyConfig(core.StrategyLockstep)
 	var poolMM2 float64
-	for _, spec := range main.Checkers {
+	for _, spec := range cfg.Checkers {
 		poolMM2 += float64(spec.Count) * spec.CPU.AreaMM2
 	}
-	out.AreaOverheadPct = poolMM2 / main.Main.AreaMM2 * 100
+	out.AreaOverheadPct = poolMM2 / cfg.Main.AreaMM2 * 100
 
-	// Phase 1: fault-free slowdown/energy runs, all in flight at once.
-	// The campaign phase bypasses the engine (private injectors), so
-	// kicking these off first keeps the pool busy throughout.
-	type cleanRun struct {
-		base  *Future
-		strat map[string]*Future
-	}
-	cleanF := make([]cleanRun, len(ws))
-	for i, w := range ws {
-		out.Slowdown.Benchmarks = append(out.Slowdown.Benchmarks, w.Name)
-		one := []core.Workload{{Name: w.Name, Prog: w.Prog, MaxInsts: sc.Insts, WarmupInsts: sc.Warmup}}
-		cleanF[i] = cleanRun{base: e.Submit(baselineCfg(), one), strat: make(map[string]*Future, len(order))}
-		for _, name := range order {
-			cleanF[i].strat[name] = e.Submit(cfgs[name], one)
-		}
-	}
-
-	// Phase 2: the paired campaigns. Same seed, same trial count, same
-	// workload pool, one config each: genTrial's per-trial rng draws the
-	// identical (fault, workload, checker) stream for every strategy, so
-	// trial i is the same experiment under all four protocols.
-	mix := divergentMix()
-	for _, name := range order {
-		camp, err := e.campaign(fault.CampaignConfig{
-			Seed:      seed,
-			Trials:    trials,
-			Workloads: ws,
-			Configs:   []core.Config{cfgs[name]},
-			Mix:       &mix,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("strategy study, %s campaign: %w", name, err)
-		}
-		out.Campaigns[name] = camp
-	}
-
-	// Phase 3: collect the slowdown and energy tables.
-	for i, w := range ws {
-		base, err := clean(cleanF[i].base, "strategy study baseline %s", w.Name)
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range order {
-			res, err := clean(cleanF[i].strat[name], "strategy study %s %s", name, w.Name)
+	for _, st := range strats {
+		name := st.String()
+		for i, res := range runs.clean[name] {
+			rep, err := core.Energy(studyConfig(st), res)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("strategy study %s %s energy: %w", name, out.Slowdown.Benchmarks[i], err)
 			}
-			out.Slowdown.Values[name][w.Name] = slowdownPct(res, base)
-			rep, err := core.Energy(cfgs[name], res)
-			if err != nil {
-				return nil, fmt.Errorf("strategy study %s %s energy: %w", name, w.Name, err)
-			}
-			out.EnergyOverheadPct[name] += rep.Overhead * 100 / float64(len(ws))
+			out.EnergyOverheadPct[name] += rep.Overhead * 100 / float64(len(runs.clean[name]))
 		}
 	}
 	out.Slowdown.Notes = append(out.Slowdown.Notes,

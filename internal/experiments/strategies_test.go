@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"paraverser/internal/fault"
 )
 
 // strategyScale is the smallest scale that still gives every strategy a
@@ -69,5 +72,44 @@ func TestStrategyStudyDeterminism(t *testing.T) {
 		if got != want {
 			t.Errorf("strategy table differs between 1 and %d workers:\n%s\n--- vs ---\n%s", workers, got, want)
 		}
+	}
+}
+
+// TestDivergentMatchesStrategies asserts the divergent study is the
+// lockstep and divergent columns of the strategies study: on one engine,
+// with one seed and trial count, the paired campaigns' trials and the
+// slowdown columns are equal, and every clean run is simulated once
+// (the second study's clean runs are all cache hits).
+func TestDivergentMatchesStrategies(t *testing.T) {
+	sc := strategyScale()
+	e := NewEngine(2)
+	div, err := divergentStudy(e, sc, 11, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := strategyStudy(e, sc, 11, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := func(c *fault.CampaignResult) []fault.TrialResult {
+		out := append([]fault.TrialResult(nil), c.Trials...)
+		for i := range out {
+			out[i].Metrics = nil
+		}
+		return out
+	}
+	for name, c := range map[string]*fault.CampaignResult{"lockstep": div.Lockstep, "divergent": div.Divergent} {
+		if !reflect.DeepEqual(trials(c), trials(st.Campaigns[name])) {
+			t.Errorf("%s campaign trials differ between the divergent and strategies studies", name)
+		}
+		if !reflect.DeepEqual(div.Slowdown.Values[name], st.Slowdown.Values[name]) {
+			t.Errorf("%s slowdown column differs: %v vs %v", name, div.Slowdown.Values[name], st.Slowdown.Values[name])
+		}
+	}
+	// Per workload: the baseline and four strategies run once; the
+	// divergent study's three submissions recur in the strategies study.
+	n := int64(len(st.Slowdown.Benchmarks))
+	if e.Runs() != 5*n || e.Hits() != 3*n {
+		t.Errorf("%d runs, %d hits; want %d runs, %d hits", e.Runs(), e.Hits(), 5*n, 3*n)
 	}
 }

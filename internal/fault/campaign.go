@@ -239,13 +239,13 @@ func parallel(n, workers int, f func(i int)) {
 
 // primeSpec returns the SpecCache the campaign's trials share, primed
 // with every workload's main stream by one unchecked run on
-// Configs[0]'s main core, or nil when no config resolves to lockstep
+// Configs[0]'s main core, or nil when no config runs lockstep
 // (only lockstep trials can replay). The priming runs carry no checker,
 // injector, recovery or trace, so they touch nothing a trial reports.
 func primeSpec(cfg *CampaignConfig) (*core.SpecCache, error) {
 	lockstep := false
 	for i := range cfg.Configs {
-		lockstep = lockstep || cfg.Configs[i].ResolvedStrategy() == core.StrategyLockstep
+		lockstep = lockstep || cfg.Configs[i].Strategy == core.StrategyLockstep
 	}
 	if !lockstep {
 		return nil, nil

@@ -295,16 +295,6 @@ func IsLogged(op Op) bool {
 	return c == ClassLoad || c == ClassStore || c == ClassAtomic || c == ClassNonRepeat
 }
 
-// IsFP reports whether the opcode executes on the floating-point pipeline.
-func IsFP(op Op) bool {
-	switch ClassOf(op) {
-	case ClassFPAdd, ClassFPMul, ClassFPDiv:
-		return true
-	default:
-		return false
-	}
-}
-
 // IsBranch reports whether the opcode is any control-flow instruction.
 func IsBranch(op Op) bool {
 	c := ClassOf(op)

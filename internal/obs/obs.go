@@ -41,9 +41,6 @@ import (
 // RunMetrics fields instead.
 type Counter struct{ v atomic.Uint64 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 

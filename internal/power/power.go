@@ -81,8 +81,7 @@ func (ce CoreEnergy) TotalJ(insts uint64, busySec, fGHz float64) float64 {
 	return ce.DynamicJ(insts, fGHz) + ce.StaticJ(busySec, fGHz)
 }
 
-// EDP and ED2P combine energy and delay.
-func EDP(energyJ, delayS float64) float64  { return energyJ * delayS }
+// ED2P combines energy and delay as energy × delay².
 func ED2P(energyJ, delayS float64) float64 { return energyJ * delayS * delayS }
 
 // MinimiseED2P evaluates eval at each candidate frequency and returns the
