@@ -1,5 +1,5 @@
 // Command paralint runs the repository's invariant analyzer suite
-// (determinism, hotpathalloc, fingerprint, shardsafety) over the
+// (determinism, hotpathalloc, shardsafety) over the
 // packages matching the given go list patterns and exits non-zero when
 // any finding survives its //paralint:allow review.
 //

@@ -49,7 +49,6 @@ func TestJSONOutput(t *testing.T) {
 		{"determinism fixture", "determinism", "./internal/analysis/testdata/src/determinism", 5},
 		{"hotpath fixture", "hotpathalloc", "./internal/analysis/testdata/src/hotpath", 3},
 		{"shardsafety fixture", "shardsafety", "./internal/analysis/testdata/src/shardsafety", 2},
-		{"fingerprint fixture", "fingerprint", "./internal/analysis/testdata/src/fingerprint", 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,9 +8,6 @@
 //   - hotpathalloc: functions annotated //paralint:hotpath must avoid
 //     allocating constructs (closures, interface conversions, append,
 //     string building) on their steady-state path.
-//   - fingerprint: run-cache per-field policy tables annotated
-//     //paralint:fingerprint(Type) must cover every field of the struct
-//     they account for, with no stale keys.
 //   - shardsafety: obs.RunMetrics shards may only be mutated by their
 //     owner; a shard reached through an exported surface is frozen and
 //     may only be combined via the commutative Merge/collect path.
@@ -25,8 +22,6 @@
 //
 //	//paralint:deterministic          package directive, any file
 //	//paralint:hotpath                function doc comment
-//	//paralint:fingerprint(T)         var doc comment; T is TypeName,
-//	                                  pkg.TypeName or path/pkg.TypeName
 //	//paralint:allow(reason)          same line or line above a finding
 package analysis
 
@@ -37,7 +32,6 @@ import (
 	"go/types"
 	"regexp"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named check, mirroring go/analysis.Analyzer.
@@ -89,7 +83,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full paralint analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, HotPathAlloc, Fingerprint, ShardSafety}
+	return []*Analyzer{Determinism, HotPathAlloc, ShardSafety}
 }
 
 // Run applies the analyzers to the package and returns surviving
@@ -156,35 +150,6 @@ func allowedLines(pkg *Package) map[fileLine]bool {
 	return m
 }
 
-// hasDirective reports whether the comment group contains the exact
-// //paralint:<name> directive (optionally with an argument list).
-func hasDirective(cg *ast.CommentGroup, name string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if c.Text == "//paralint:"+name || strings.HasPrefix(c.Text, "//paralint:"+name+"(") {
-			return true
-		}
-	}
-	return false
-}
-
-// directiveArg returns the parenthesised argument of //paralint:<name>(arg)
-// in the comment group, if present.
-func directiveArg(cg *ast.CommentGroup, name string) (string, bool) {
-	if cg == nil {
-		return "", false
-	}
-	prefix := "//paralint:" + name + "("
-	for _, c := range cg.List {
-		if strings.HasPrefix(c.Text, prefix) && strings.HasSuffix(c.Text, ")") {
-			return c.Text[len(prefix) : len(c.Text)-1], true
-		}
-	}
-	return "", false
-}
-
 // packageMarked reports whether any file of the package carries the
 // given package-level //paralint:<name> directive anywhere in its
 // comments.
@@ -203,9 +168,17 @@ func packageMarked(pkg *Package, name string) bool {
 }
 
 // funcMarked reports whether the function declaration's doc comment
-// carries //paralint:<name>.
+// carries the exact //paralint:<name> directive.
 func funcMarked(fd *ast.FuncDecl, name string) bool {
-	return hasDirective(fd.Doc, name)
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if c.Text == "//paralint:"+name {
+			return true
+		}
+	}
+	return false
 }
 
 // --- shared type helpers ---

@@ -84,7 +84,6 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 
 func TestDeterminismFixture(t *testing.T) { runFixture(t, Determinism, "determinism") }
 func TestHotPathFixture(t *testing.T)     { runFixture(t, HotPathAlloc, "hotpath") }
-func TestFingerprintFixture(t *testing.T) { runFixture(t, Fingerprint, "fingerprint") }
 func TestShardSafetyFixture(t *testing.T) { runFixture(t, ShardSafety, "shardsafety") }
 
 // TestAllowSuppression proves the //paralint:allow escape hatch works for
@@ -151,7 +150,7 @@ func TestAnalyzerMetadata(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 4 {
-		t.Errorf("expected 4 analyzers, got %d", len(seen))
+	if len(seen) != 3 {
+		t.Errorf("expected 3 analyzers, got %d", len(seen))
 	}
 }

@@ -49,6 +49,19 @@ func (c *logCursor) Consumed() bool {
 // pos returns the current entry index, for mismatch attribution.
 func (c *logCursor) pos() int { return c.entryIdx }
 
+// Rand implements emu.Env for both replay environments: non-repeatable
+// values replay raw from the log, like every other datum.
+func (c *logCursor) Rand() (uint64, error) {
+	op, _, err := c.next()
+	if err != nil {
+		return 0, err
+	}
+	return op.Data, nil
+}
+
+// CycleRead implements emu.Env: same replay path as Rand.
+func (c *logCursor) CycleRead(uint64) (uint64, error) { return c.Rand() }
+
 // CheckerEnv is the emu.Env a checker core executes against: every load,
 // atomic and non-repeatable value is served from the segment's load-store
 // log in program order, every address/size/store-datum is compared by the
@@ -104,22 +117,4 @@ func (e *CheckerEnv) Swap(addr uint64, newVal uint64) (uint64, error) {
 		return 0, err
 	}
 	return old, nil
-}
-
-// Rand implements emu.Env: non-repeatable values replay from the log.
-func (e *CheckerEnv) Rand() (uint64, error) {
-	op, _, err := e.next()
-	if err != nil {
-		return 0, err
-	}
-	return op.Data, nil
-}
-
-// CycleRead implements emu.Env: same replay path as Rand.
-func (e *CheckerEnv) CycleRead(uint64) (uint64, error) {
-	op, _, err := e.next()
-	if err != nil {
-		return 0, err
-	}
-	return op.Data, nil
 }

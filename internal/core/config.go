@@ -104,7 +104,9 @@ func (r *RecoveryConfig) Validate() error {
 	return nil
 }
 
-// Config describes a complete ParaVerser system for one experiment.
+// Config describes a complete ParaVerser system for one experiment. The
+// run cache keys a run by every field except Spec and Trace, which never
+// change a simulated outcome.
 type Config struct {
 	// Main is the main-core model; every lane (hart) gets one.
 	Main        cpu.Config
@@ -124,8 +126,6 @@ type Config struct {
 	// scheduling granularity, the comparison domain (identical replay or
 	// a decorrelated variant), and how checker acquisition couples to
 	// main-core commit. The zero value is lockstep.
-	// Unlike Spec below, the strategy changes simulated outcomes and is
-	// part of the run-cache fingerprint.
 	Strategy Strategy
 	// EagerWake lets a checker start as log lines arrive rather than at
 	// checkpoint end (section IV-H).
@@ -162,7 +162,6 @@ type Config struct {
 	// recorded earlier instead of emulating. Wall-clock only: every
 	// simulated outcome is byte-identical with or without it, enforced
 	// by a per-segment continuity check with sequential fallback.
-	// Excluded from the run-cache fingerprint.
 	Spec   *SpecCache
 	NoC    noc.Config
 	Layout *noc.Layout
@@ -196,8 +195,7 @@ type Config struct {
 
 	// Trace, when non-nil, receives segment and check events from the run
 	// (Chrome trace_event dump, obs.Trace). Observability only: it never
-	// influences simulated outcomes, so it is excluded from the run-cache
-	// fingerprint.
+	// influences simulated outcomes.
 	Trace *obs.Trace
 }
 

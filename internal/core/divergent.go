@@ -252,22 +252,3 @@ func (e *DivergentEnv) Swap(addr uint64, newVal uint64) (uint64, error) {
 	}
 	return old, nil
 }
-
-// Rand implements emu.Env: non-repeatable values replay raw from the
-// log, like every other datum.
-func (e *DivergentEnv) Rand() (uint64, error) {
-	op, _, err := e.next()
-	if err != nil {
-		return 0, err
-	}
-	return op.Data, nil
-}
-
-// CycleRead implements emu.Env: same replay path as Rand.
-func (e *DivergentEnv) CycleRead(uint64) (uint64, error) {
-	op, _, err := e.next()
-	if err != nil {
-		return 0, err
-	}
-	return op.Data, nil
-}

@@ -447,12 +447,8 @@ func (sp *laneSpec) seal(start emu.ArchState) {
 // replay fine.
 //
 // Recording is stricter: checked recorders need deferred joins (no
-// injector, no recovery), full coverage and a uniform pool
-// capacity. Soundness needs the first two — every segment of the
-// stream must be verified fault-free before publication. The third
-// keeps the set of recording runs, and with it the cache counters, as
-// it was when recordings had to predict segment boundaries ahead of
-// timing.
+// injector, no recovery) and full coverage, so that every segment of
+// the stream is verified fault-free before publication.
 func (s *System) laneSpecEligible(l *lane) (replay, record bool) {
 	if s.cfg.MainInterceptor != nil || len(l.proc.mach.Harts) != 1 || l.div != nil {
 		return false, false
@@ -463,18 +459,7 @@ func (s *System) laneSpecEligible(l *lane) (replay, record bool) {
 	if !s.pipelined {
 		return s.cfg.Strategy == StrategyLockstep, false
 	}
-	record = s.cfg.Mode == ModeFullCoverage
-	if record {
-		cks := l.alloc.Checkers()
-		cap0 := s.lslCapacityLines(l, cks[0])
-		for _, ck := range cks[1:] {
-			if s.lslCapacityLines(l, ck) != cap0 {
-				record = false
-				break
-			}
-		}
-	}
-	return true, record
+	return true, s.cfg.Mode == ModeFullCoverage
 }
 
 // streamKeyFor builds lane l's stream key.

@@ -76,6 +76,12 @@ func TestSpecRecordReplayInvariance(t *testing.T) {
 		{"small-pool-stall", func(c *Config) {
 			c.Checkers = []CheckerSpec{{CPU: cpu.A35(), FreqGHz: 0.5, Count: 1}}
 		}, records},
+		{"mixed-pool", func(c *Config) {
+			c.Checkers = []CheckerSpec{
+				{CPU: cpu.A510(), FreqGHz: 2.0, Count: 1},
+				{CPU: cpu.A35(), FreqGHz: 1.0, Count: 1},
+			}
+		}, records},
 		{"opportunistic", func(c *Config) { c.Mode = ModeOpportunistic }, replays},
 		{"opportunistic-sampled", func(c *Config) {
 			c.Mode = ModeOpportunistic

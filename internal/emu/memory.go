@@ -11,7 +11,6 @@ package emu
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"paraverser/internal/isa"
 )
@@ -227,25 +226,6 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 // PagesMapped returns the number of resident 4KiB pages (every segment
 // page, written or not), for footprint assertions in tests.
 func (m *Memory) PagesMapped() int { return len(m.seg) + len(m.pages) }
-
-// ForEachPage calls fn for every resident page in ascending base-address
-// order with the page's 4KiB contents. The slice aliases live memory or
-// the program's Data and must be neither retained nor written.
-// Deterministic iteration lets callers digest memory byte-identically.
-func (m *Memory) ForEachPage(fn func(base uint64, data []byte)) {
-	pns := make([]uint64, 0, m.PagesMapped())
-	for pn := range m.pages {
-		pns = append(pns, pn)
-	}
-	for i := range m.seg {
-		pns = append(pns, m.basePN+uint64(i))
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		base := pn << pageBits
-		fn(base, m.lookup(base)[:])
-	}
-}
 
 func checkSize(size uint8) error {
 	switch size {

@@ -186,28 +186,34 @@ func runBlocksDifferential(t *testing.T, prog *isa.Program, seed uint64, limit i
 	memEqual(t, ma.Mem, mb.Mem)
 }
 
+// residentPages copies every resident page of m, keyed by base address.
+func residentPages(m *Memory) map[uint64]page {
+	out := make(map[uint64]page, m.PagesMapped())
+	for i := range m.seg {
+		base := (m.basePN + uint64(i)) << pageBits
+		out[base] = *m.lookup(base)
+	}
+	for pn, p := range m.pages {
+		out[pn<<pageBits] = *p
+	}
+	return out
+}
+
+// memEqual asserts a and b have the same resident pages with the same
+// bytes.
 func memEqual(t *testing.T, a, b *Memory) {
 	t.Helper()
-	pagesA := map[uint64][]byte{}
-	a.ForEachPage(func(base uint64, data []byte) {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		pagesA[base] = cp
-	})
-	count := 0
-	b.ForEachPage(func(base uint64, data []byte) {
-		count++
-		want, ok := pagesA[base]
+	pagesA, pagesB := residentPages(a), residentPages(b)
+	for base, want := range pagesA {
+		got, ok := pagesB[base]
 		if !ok {
-			t.Errorf("batched path mapped page %#x that step path did not", base)
-			return
+			t.Errorf("page %#x is mapped in the first memory only", base)
+		} else if got != want {
+			t.Errorf("page %#x contents differ", base)
 		}
-		if !reflect.DeepEqual(want, data) {
-			t.Errorf("page %#x contents differ between paths", base)
-		}
-	})
-	if count != len(pagesA) {
-		t.Errorf("page counts differ: step %d, batched %d", len(pagesA), count)
+	}
+	if len(pagesA) != len(pagesB) {
+		t.Errorf("page counts differ: %d vs %d", len(pagesA), len(pagesB))
 	}
 }
 

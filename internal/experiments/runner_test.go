@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"path"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -193,104 +193,6 @@ func TestFaultRunsNotCached(t *testing.T) {
 	}
 }
 
-// TestFingerprintCoversConfig pins the fingerprint to the shapes of
-// core.Config and cpu.Config: a new field on either must be explicitly
-// classified (hashed or excluded with a reason) before the tests pass
-// again. Without this, adding a field that changes simulated outcomes
-// would silently alias distinct configurations onto stale cache
-// entries.
-//
-// The check is recursive: every struct type from the core or cpu
-// packages reachable through a hashed field (unwrapping slices, arrays,
-// maps and pointers) needs its own policy table
-// (fingerprintedNestedFields), bidirectionally checked the same way.
-// The earlier, top-level-only version of this test let a field added to
-// a nested struct — or a whole new nested struct — ride into or out of
-// the %+v rendering with no decision recorded.
-func TestFingerprintCoversConfig(t *testing.T) {
-	// nestedPolicy resolves the policy table for a struct type from the
-	// core or cpu packages; nil, false for types the walk stops at
-	// (other packages render every exported field via %+v and carry no
-	// exclusions).
-	nestedPolicy := func(typ reflect.Type) (map[string]bool, bool) {
-		pkg := typ.PkgPath()
-		if !strings.HasSuffix(pkg, "internal/core") && !strings.HasSuffix(pkg, "internal/cpu") {
-			return nil, false
-		}
-		if typ == reflect.TypeOf(cpu.Config{}) {
-			return fingerprintedCPUFields, true
-		}
-		key := path.Base(pkg) + "." + typ.Name()
-		policy, ok := fingerprintedNestedFields[key]
-		if !ok {
-			t.Errorf("nested struct %s is reachable through a hashed fingerprint field but has no policy table: add %q to fingerprintedNestedFields", key, key)
-		}
-		return policy, ok
-	}
-	// structElem unwraps containers to the struct type they carry, if
-	// any.
-	var structElem func(typ reflect.Type) (reflect.Type, bool)
-	structElem = func(typ reflect.Type) (reflect.Type, bool) {
-		switch typ.Kind() {
-		case reflect.Struct:
-			return typ, true
-		case reflect.Slice, reflect.Array, reflect.Ptr, reflect.Map:
-			return structElem(typ.Elem())
-		}
-		return nil, false
-	}
-	visited := make(map[reflect.Type]bool)
-	var check func(typ reflect.Type, policy map[string]bool)
-	check = func(typ reflect.Type, policy map[string]bool) {
-		if visited[typ] {
-			return
-		}
-		visited[typ] = true
-		seen := make(map[string]bool, typ.NumField())
-		for i := 0; i < typ.NumField(); i++ {
-			field := typ.Field(i)
-			name := field.Name
-			seen[name] = true
-			hashed, ok := policy[name]
-			if !ok {
-				t.Errorf("%s.%s is not classified in the fingerprint policy: "+
-					"add it to the table (and to writeConfig if it can change simulated outcomes)",
-					typ.Name(), name)
-				continue
-			}
-			if !hashed {
-				continue // excluded fields are not part of the rendering
-			}
-			if elem, ok := structElem(field.Type); ok {
-				if nested, ok := nestedPolicy(elem); ok {
-					check(elem, nested)
-				}
-			}
-		}
-		for name := range policy {
-			if !seen[name] {
-				t.Errorf("fingerprint policy lists %s.%s, which no longer exists", typ.Name(), name)
-			}
-		}
-	}
-	check(reflect.TypeOf(core.Config{}), fingerprintedConfigFields)
-	check(reflect.TypeOf(cpu.Config{}), fingerprintedCPUFields)
-	// Every nested table must have been reached: a stale entry here
-	// means the field that once led to it was removed or re-typed.
-	for key := range fingerprintedNestedFields {
-		reached := false
-		for typ := range visited {
-			if path.Base(typ.PkgPath())+"."+typ.Name() == key {
-				reached = true
-				break
-			}
-		}
-		if !reached {
-			t.Errorf("fingerprintedNestedFields lists %s, which is no longer reachable from core.Config or cpu.Config", key)
-		}
-	}
-}
-
 // TestFingerprintExcludesObservability asserts the deliberately excluded
 // fields really do not split the cache: configs differing only in
 // Spec or Trace must share one fingerprint.
@@ -304,21 +206,87 @@ func TestFingerprintExcludesObservability(t *testing.T) {
 	}
 }
 
-// TestFingerprintSeparatesConfigs spot-checks that distinct
-// configurations and workload windows get distinct cache keys.
+// TestFingerprintSeparatesConfigs checks that the run key tells apart
+// every configuration that can simulate differently: perturbing any
+// leaf field reachable from core.Config (through structs, slice
+// elements, map values and *Layout) changes the fingerprint. Spec and
+// Trace, which never change a simulated outcome, are left out here and
+// checked by TestFingerprintExcludesObservability. A new Config field
+// is covered without touching this test. The interceptor funcs are
+// skipped: configs that set them are never cached.
 func TestFingerprintSeparatesConfigs(t *testing.T) {
-	a := core.DefaultConfig(a510Spec(4, 2.0))
-	b := core.DefaultConfig(a510Spec(4, 2.0))
-	if fingerprint(&a) != fingerprint(&b) {
-		t.Error("identical configs fingerprint differently")
+	base := func() core.Config {
+		cfg := core.DefaultConfig(a510Spec(4, 2.0))
+		cfg.LaneMains = []core.LaneMain{{CPU: cpu.A510(), FreqGHz: 2.0}}
+		return cfg
 	}
-	b.HashMode = true
-	if fingerprint(&a) == fingerprint(&b) {
-		t.Error("HashMode toggle did not change the fingerprint")
+	ref := base()
+	want := fingerprint(&ref)
+	b := base()
+	if fingerprint(&b) != want {
+		t.Fatal("identical configs fingerprint differently")
 	}
-	c := core.DefaultConfig(a510Spec(2, 2.0))
-	if fingerprint(&a) == fingerprint(&c) {
-		t.Error("checker-count change did not change the fingerprint")
+
+	// walk calls leaf on every settable leaf field below v, named by its
+	// path. Map values are not addressable, so each is walked in a copy
+	// that is stored back afterwards.
+	var walk func(v reflect.Value, path string, leaf func(string, reflect.Value))
+	walk = func(v reflect.Value, path string, leaf func(string, reflect.Value)) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), leaf)
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i), leaf)
+			}
+		case reflect.Map:
+			for _, k := range v.MapKeys() {
+				e := reflect.New(v.Type().Elem()).Elem()
+				e.Set(v.MapIndex(k))
+				walk(e, fmt.Sprintf("%s[%v]", path, k), leaf)
+				v.SetMapIndex(k, e)
+			}
+		case reflect.Pointer:
+			if path == "Spec" || path == "Trace" || v.IsNil() {
+				return
+			}
+			walk(v.Elem(), path, leaf)
+		case reflect.Func:
+		default:
+			leaf(path, v)
+		}
+	}
+	var paths []string
+	walk(reflect.ValueOf(&ref).Elem(), "", func(p string, _ reflect.Value) { paths = append(paths, p) })
+	if len(paths) < 100 {
+		t.Fatalf("walk reached only %d leaf fields", len(paths))
+	}
+	for _, p := range paths {
+		cfg := base()
+		walk(reflect.ValueOf(&cfg).Elem(), "", func(q string, v reflect.Value) {
+			if q != p {
+				return
+			}
+			switch v.Kind() {
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				v.SetInt(v.Int() + 1)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				v.SetUint(v.Uint() + 1)
+			case reflect.Float32, reflect.Float64:
+				v.SetFloat(v.Float() + 1)
+			case reflect.String:
+				v.SetString(v.String() + "'")
+			default:
+				t.Fatalf("%s: no perturbation for kind %s", p, v.Kind())
+			}
+		})
+		if fingerprint(&cfg) == want {
+			t.Errorf("perturbing %s did not change the fingerprint", p)
+		}
 	}
 	if workloadsKey(specRun("mcf", 1000, 500)) == workloadsKey(specRun("mcf", 1000, 501)) {
 		t.Error("warmup change did not change the spec run key")

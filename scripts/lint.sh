@@ -2,7 +2,7 @@
 # lint.sh — the repo's static-analysis gate, runnable locally exactly as
 # CI runs it: gofmt (formatting), go vet (stdlib checks), and paralint
 # (the project's own invariant analyzers: determinism, hotpathalloc,
-# fingerprint, shardsafety).
+# shardsafety).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
