@@ -294,6 +294,12 @@ func (b *Builder) Bytes(p []byte) uint64 {
 // Reserve appends n zero bytes to the data segment and returns the offset.
 func (b *Builder) Reserve(n int) uint64 {
 	off := uint64(len(b.data))
+	if len(b.data) == 0 {
+		// Fresh memory arrives zeroed: the SPEC working sets (up to
+		// 64 MiB) are written once by their fill, not cleared first.
+		b.data = make([]byte, n)
+		return off
+	}
 	b.data = append(b.data, make([]byte, n)...)
 	return off
 }

@@ -112,6 +112,29 @@ func TestDataSegmentHelpers(t *testing.T) {
 	if p.Data[o4] != 42 {
 		t.Error("SetWord64 not applied")
 	}
+
+	// Reserve on an empty segment starts it at offset 0; a second
+	// Reserve appends zeroes after what is already there.
+	e := New("reserve")
+	r1 := e.Reserve(4096)
+	e.DataSlice(r1)[0] = 7
+	r2 := e.Reserve(24)
+	e.Halt()
+	q, err := e.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != 0 || r2 != 4096 || len(q.Data) != 4096+24 {
+		t.Fatalf("reserve offsets %d %d, data length %d", r1, r2, len(q.Data))
+	}
+	if q.Data[0] != 7 {
+		t.Error("first reservation lost its contents")
+	}
+	for i, v := range q.Data[1:] {
+		if v != 0 {
+			t.Fatalf("reserved byte %d is %d, want 0", i+1, v)
+		}
+	}
 }
 
 func TestSetWord64OutOfRangeFails(t *testing.T) {

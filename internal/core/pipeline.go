@@ -102,11 +102,13 @@ func (s *System) snapshotBeyond(pos noc.Coord, bb *checkerBuffer) {
 		bb.queueNS = make([]float64, n)
 	}
 	bb.latNS, bb.queueNS = bb.latNS[:n], bb.queueNS[:n]
-	for i, slice := range s.layout.LLCPos {
-		req := s.mesh.LatencyNS(pos, slice, 16)
-		resp := s.mesh.LatencyNS(slice, pos, LineBytes+8)
-		bb.latNS[i] = req + resp + s.cfg.L3HitNS
-		bb.queueNS[i] = s.mesh.QueueingNS(pos, slice, 16) + s.mesh.QueueingNS(slice, pos, LineBytes+8)
+	// Copied, not referenced: the route table moves on at the next load
+	// refresh, and the join must sample queueNS as it stood here.
+	routes := s.routesFrom(pos)
+	for i := range routes.slices {
+		r := routes.at(s, i)
+		bb.latNS[i] = r.roundNS + s.cfg.L3HitNS
+		bb.queueNS[i] = r.queueNS
 	}
 	bb.accs = bb.accs[:0]
 }
@@ -358,12 +360,13 @@ func (s *System) joinCheck(ck *Checker) {
 
 	// Replay the buffered beyond-L2 accesses against the shared LLC,
 	// flow tracker and contention statistics.
-	nslice := uint64(len(s.layout.LLCPos))
+	routes := s.routesFrom(ck.Pos)
+	nslice := uint64(len(routes.slices))
 	for _, a := range p.bb.accs {
 		i := (a.addr / 64) % nslice
-		slice := s.layout.LLCPos[i]
-		s.flows.add(ck.Pos, slice, 16)
-		s.flows.add(slice, ck.Pos, LineBytes+8)
+		r := &routes.slices[i]
+		s.flows.bytes[r.req] += 16
+		s.flows.bytes[r.resp] += LineBytes + 8
 		s.llcExtraSum += p.bb.queueNS[i]
 		s.llcExtraN++
 		s.l3.Access(a.addr, a.write)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"paraverser/internal/cachesim"
 	"paraverser/internal/cpu"
@@ -27,6 +26,9 @@ type System struct {
 	l3     *cachesim.Cache
 	mem    *dram.Model
 	flows  *flowTracker
+	// routes[row*Cols+col] caches LLC round-trip latencies from that
+	// crosspoint (see routesFrom).
+	routes []*llcRoutes
 
 	procs []*process
 	lanes []*lane
@@ -150,17 +152,28 @@ type warmSnapshot struct {
 
 // flowTracker accumulates steady-state traffic per mesh route and
 // refreshes the mesh's offered load from cumulative bytes over elapsed
-// time.
+// time. bytes is dense: route from→to sits at index from*n+to, with
+// crosspoints numbered row*Cols+col.
 type flowTracker struct {
-	bytes map[[2]noc.Coord]float64
+	cols, n int
+	bytes   []float64
+	// gen advances whenever refresh resets the mesh load; route tables
+	// computed under an older generation are stale.
+	gen uint64
 }
 
-func newFlowTracker() *flowTracker {
-	return &flowTracker{bytes: make(map[[2]noc.Coord]float64)}
+func newFlowTracker(cfg noc.Config) *flowTracker {
+	n := cfg.Rows * cfg.Cols
+	// gen starts at 1 so a zero-valued sliceRoute is always stale.
+	return &flowTracker{cols: cfg.Cols, n: n, bytes: make([]float64, n*n), gen: 1}
+}
+
+func (f *flowTracker) index(from, to noc.Coord) int {
+	return (from.Row*f.cols+from.Col)*f.n + to.Row*f.cols + to.Col
 }
 
 func (f *flowTracker) add(from, to noc.Coord, bytes float64) {
-	f.bytes[[2]noc.Coord{from, to}] += bytes
+	f.bytes[f.index(from, to)] += bytes
 }
 
 func (f *flowTracker) refresh(mesh *noc.Mesh, elapsedNS float64) {
@@ -168,29 +181,64 @@ func (f *flowTracker) refresh(mesh *noc.Mesh, elapsedNS float64) {
 		return // too early for a meaningful rate
 	}
 	mesh.ResetLoad()
-	// Iterate routes in a fixed order: per-link load accumulation is
-	// floating-point addition, so map-order iteration would perturb the
-	// low bits run to run and break bit-exact reproducibility.
-	keys := make([][2]noc.Coord, 0, len(f.bytes))
-	for k := range f.bytes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a[0] != b[0] {
-			if a[0].Row != b[0].Row {
-				return a[0].Row < b[0].Row
-			}
-			return a[0].Col < b[0].Col
+	f.gen++
+	// Index order is route order sorted by (from.Row, from.Col, to.Row,
+	// to.Col). The order is fixed because per-link load accumulation is
+	// floating-point addition. Routes that never carried traffic would
+	// add zero load, so they are skipped.
+	for k, b := range f.bytes {
+		if b == 0 {
+			continue
 		}
-		if a[1].Row != b[1].Row {
-			return a[1].Row < b[1].Row
-		}
-		return a[1].Col < b[1].Col
-	})
-	for _, k := range keys {
-		mesh.AddFlow(k[0], k[1], f.bytes[k]/elapsedNS)
+		from, to := k/f.n, k%f.n
+		mesh.AddFlow(noc.Coord{Row: from / f.cols, Col: from % f.cols},
+			noc.Coord{Row: to / f.cols, Col: to % f.cols}, b/elapsedNS)
 	}
+}
+
+// sliceRoute is one core position's round trip to one LLC slice: the
+// flow indices of its request and response, and their latencies under
+// the mesh load of generation gen.
+type sliceRoute struct {
+	req, resp int
+	gen       uint64
+	roundNS   float64 // request + response latency
+	queueNS   float64 // the queueing-delay part of roundNS
+}
+
+// llcRoutes is the per-slice route table of one crosspoint, shared by
+// every core placed there. The mesh load changes only at refresh, so
+// each entry is recomputed at most once per generation instead of once
+// per LLC access.
+type llcRoutes struct {
+	pos    noc.Coord
+	slices []sliceRoute
+}
+
+// routesFrom returns pos's route table, building it on first use.
+func (s *System) routesFrom(pos noc.Coord) *llcRoutes {
+	k := pos.Row*s.cfg.NoC.Cols + pos.Col
+	if s.routes[k] == nil {
+		t := &llcRoutes{pos: pos, slices: make([]sliceRoute, len(s.layout.LLCPos))}
+		for i, slice := range s.layout.LLCPos {
+			t.slices[i].req = s.flows.index(pos, slice)
+			t.slices[i].resp = s.flows.index(slice, pos)
+		}
+		s.routes[k] = t
+	}
+	return s.routes[k]
+}
+
+// at returns the route to LLC slice i under the current mesh load.
+func (t *llcRoutes) at(s *System, i int) *sliceRoute {
+	r := &t.slices[i]
+	if r.gen != s.flows.gen {
+		slice := s.layout.LLCPos[i]
+		r.roundNS = s.mesh.LatencyNS(t.pos, slice, 16) + s.mesh.LatencyNS(slice, t.pos, LineBytes+8)
+		r.queueNS = s.mesh.QueueingNS(t.pos, slice, 16) + s.mesh.QueueingNS(slice, t.pos, LineBytes+8)
+		r.gen = s.flows.gen
+	}
+	return r
 }
 
 // NewSystem builds a system for the given workloads. Each hart of each
@@ -208,7 +256,8 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 		layout:  cfg.Layout,
 		l3:      cachesim.MustNew(cfg.L3),
 		mem:     dram.New(cfg.DRAM),
-		flows:   newFlowTracker(),
+		flows:   newFlowTracker(cfg.NoC),
+		routes:  make([]*llcRoutes, cfg.NoC.Rows*cfg.NoC.Cols),
 		metrics: obs.NewRunMetrics(),
 	}
 	if cfg.Trace != nil {
@@ -350,16 +399,15 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 // model: request and response cross the mesh under current load; the L3
 // is physically sliced by line address.
 func (s *System) beyondFor(pos noc.Coord) func(addr uint64, write, fetch bool) float64 {
+	routes := s.routesFrom(pos)
+	nslice := uint64(len(routes.slices))
 	return func(addr uint64, write, fetch bool) float64 {
-		slice := s.layout.LLCPos[(addr/64)%uint64(len(s.layout.LLCPos))]
-		req := s.mesh.LatencyNS(pos, slice, 16)
-		resp := s.mesh.LatencyNS(slice, pos, LineBytes+8)
-		s.flows.add(pos, slice, 16)
-		s.flows.add(slice, pos, LineBytes+8)
-		extra := s.mesh.QueueingNS(pos, slice, 16) + s.mesh.QueueingNS(slice, pos, LineBytes+8)
-		s.llcExtraSum += extra
+		r := routes.at(s, int((addr/64)%nslice))
+		s.flows.bytes[r.req] += 16
+		s.flows.bytes[r.resp] += LineBytes + 8
+		s.llcExtraSum += r.queueNS
 		s.llcExtraN++
-		lat := req + resp + s.cfg.L3HitNS
+		lat := r.roundNS + s.cfg.L3HitNS
 		if !s.l3.Access(addr, write) {
 			lat += s.mem.AccessNS(addr, 0)
 		}

@@ -296,6 +296,59 @@ func TestLSLTrafficLoadsNoC(t *testing.T) {
 	}
 }
 
+// TestLLCRouteTablesFollowMeshLoad checks the cached LLC round trips
+// against direct mesh queries: a refresh that moves the load shows in
+// the next access, and a refresh too early for a rate changes nothing.
+func TestLLCRouteTablesFollowMeshLoad(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NoC = noc.Slow()
+	s, err := NewSystem(cfg, []Workload{{Name: "m", Prog: mixedProgram(10)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := s.lanes[0].pos
+	beyond := s.beyondFor(pos)
+	const addr = 5 * 64
+	slice := s.layout.LLCPos[(addr/64)%uint64(len(s.layout.LLCPos))]
+	direct := func() (lat, queue float64) {
+		lat = s.mesh.LatencyNS(pos, slice, 16) + s.mesh.LatencyNS(slice, pos, LineBytes+8) + cfg.L3HitNS
+		queue = s.mesh.QueueingNS(pos, slice, 16) + s.mesh.QueueingNS(slice, pos, LineBytes+8)
+		return lat, queue
+	}
+	access := func() (lat, queue float64) {
+		s.llcExtraSum = 0
+		lat = beyond(addr, false, false)
+		return lat, s.llcExtraSum
+	}
+	beyond(addr, false, false) // bring the line into the LLC: later accesses hit
+
+	idle, _ := access()
+	if want, _ := direct(); idle != want {
+		t.Fatalf("idle access %v ns, direct %v ns", idle, want)
+	}
+
+	s.flows.add(pos, slice, 1e6)
+	s.flows.refresh(s.mesh, 1e5)
+	lat, queue := access()
+	wantLat, wantQueue := direct()
+	if lat != wantLat || queue != wantQueue {
+		t.Errorf("loaded access %v ns (queueing %v), direct %v ns (queueing %v)", lat, queue, wantLat, wantQueue)
+	}
+	if lat <= idle || queue <= 0 {
+		t.Errorf("load did not raise latency: idle %v ns, loaded %v ns, queueing %v ns", idle, lat, queue)
+	}
+
+	gen := s.flows.gen
+	s.flows.add(pos, slice, 1e9)
+	s.flows.refresh(s.mesh, 999)
+	if s.flows.gen != gen {
+		t.Error("a refresh under 1000 ns moved the load generation")
+	}
+	if again, q := access(); again != lat || q != queue {
+		t.Errorf("after an early refresh: %v ns (queueing %v), want %v ns (queueing %v)", again, q, lat, queue)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	good := DefaultConfig(x2Checkers(1, 3.0))
 	if err := good.Validate(); err != nil {

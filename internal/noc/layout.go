@@ -34,30 +34,32 @@ func DefaultLayout() *Layout {
 
 // Validate checks the layout fits a mesh configuration.
 func (l *Layout) Validate(cfg Config) error {
-	check := func(c Coord, what string) error {
-		if c.Row < 0 || c.Row >= cfg.Rows || c.Col < 0 || c.Col >= cfg.Cols {
-			return fmt.Errorf("noc: %s at %v outside %dx%d mesh", what, c, cfg.Rows, cfg.Cols)
-		}
-		return nil
+	// Labels are formatted only on failure: Validate runs once per
+	// system built.
+	inside := func(c Coord) bool {
+		return c.Row >= 0 && c.Row < cfg.Rows && c.Col >= 0 && c.Col < cfg.Cols
+	}
+	outside := func(c Coord, what string) error {
+		return fmt.Errorf("noc: %s at %v outside %dx%d mesh", what, c, cfg.Rows, cfg.Cols)
 	}
 	if len(l.CheckerPos) != len(l.MainPos) {
 		return fmt.Errorf("noc: %d checker rows for %d main cores", len(l.CheckerPos), len(l.MainPos))
 	}
 	for i, c := range l.MainPos {
-		if err := check(c, fmt.Sprintf("main %d", i)); err != nil {
-			return err
+		if !inside(c) {
+			return outside(c, fmt.Sprintf("main %d", i))
 		}
 	}
 	for m, row := range l.CheckerPos {
 		for k, c := range row {
-			if err := check(c, fmt.Sprintf("checker %d.%d", m, k)); err != nil {
-				return err
+			if !inside(c) {
+				return outside(c, fmt.Sprintf("checker %d.%d", m, k))
 			}
 		}
 	}
 	for i, c := range l.LLCPos {
-		if err := check(c, fmt.Sprintf("llc %d", i)); err != nil {
-			return err
+		if !inside(c) {
+			return outside(c, fmt.Sprintf("llc %d", i))
 		}
 	}
 	return nil

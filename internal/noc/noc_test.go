@@ -118,6 +118,25 @@ func TestDefaultLayoutValid(t *testing.T) {
 	}
 }
 
+func TestLayoutOffMeshRejected(t *testing.T) {
+	cases := []struct {
+		edit func(*Layout)
+		want string
+	}{
+		{func(l *Layout) { l.MainPos[1] = Coord{1, 4} }, "noc: main 1 at {1 4} outside 4x4 mesh"},
+		{func(l *Layout) { l.CheckerPos[0][2] = Coord{5, 0} }, "noc: checker 0.2 at {5 0} outside 4x4 mesh"},
+		{func(l *Layout) { l.LLCPos[3] = Coord{-1, 2} }, "noc: llc 3 at {-1 2} outside 4x4 mesh"},
+	}
+	for _, c := range cases {
+		l := DefaultLayout()
+		c.edit(l)
+		err := l.Validate(Fast())
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Validate = %v, want %q", err, c.want)
+		}
+	}
+}
+
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("want error for zero config")

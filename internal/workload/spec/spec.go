@@ -13,6 +13,7 @@
 package spec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -150,11 +151,16 @@ const (
 	rT1     = isa.Reg(21)
 )
 
+// maxWorkingSet bounds Profile.WorkingSet so the working-set fill's
+// shortcut for rng.Intn stays exact (it holds for powers of two below
+// 2^31).
+const maxWorkingSet = 1 << 30
+
 // Build generates the benchmark program. iters is the number of block
 // executions; total instructions are roughly iters*(OpsPerBlock*~2+10).
 func (p Profile) Build(iters int64) (*isa.Program, error) {
-	if p.WorkingSet&(p.WorkingSet-1) != 0 || p.WorkingSet < 4096 {
-		return nil, fmt.Errorf("spec %s: working set %d not a power of two >= 4KiB", p.Name, p.WorkingSet)
+	if p.WorkingSet&(p.WorkingSet-1) != 0 || p.WorkingSet < 4096 || p.WorkingSet > maxWorkingSet {
+		return nil, fmt.Errorf("spec %s: working set %d not a power of two in [4KiB, 1GiB]", p.Name, p.WorkingSet)
 	}
 	if p.Blocks < 1 || p.OpsPerBlock < 1 {
 		return nil, fmt.Errorf("spec %s: empty code shape", p.Name)
@@ -172,10 +178,16 @@ func (p Profile) Build(iters int64) (*isa.Program, error) {
 	if p.Streaming {
 		pad = (p.OpsPerBlock + 1) * 8
 	}
+	// Each word is rng.Intn(WorkingSet) &^ 7, computed as Intn does for
+	// a power of two below 2^31 (the top 31 bits of one Int63 draw,
+	// masked) and stored straight into the reserved slice. The rng ends
+	// in the same state, so the code generated below is unchanged;
+	// TestProfilesPinned holds every program to its recorded bytes.
 	ws := b.Reserve(p.WorkingSet + pad)
-	for off := 0; off < p.WorkingSet; off += 8 {
-		v := uint64(rng.Intn(p.WorkingSet)) &^ 7
-		b.SetWord64(ws+uint64(off), v)
+	data := b.DataSlice(ws)[:p.WorkingSet]
+	mask := uint64(p.WorkingSet-1) &^ 7
+	for off := 0; off < len(data); off += 8 {
+		binary.LittleEndian.PutUint64(data[off:], uint64(rng.Int63()>>32)&mask)
 	}
 
 	// Prologue.

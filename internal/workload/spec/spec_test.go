@@ -1,6 +1,9 @@
 package spec
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"paraverser/internal/cpu"
@@ -43,6 +46,54 @@ func TestProfilesDeterministic(t *testing.T) {
 	for i := range a.Insts {
 		if a.Insts[i] != b.Insts[i] {
 			t.Fatalf("instruction %d differs", i)
+		}
+	}
+}
+
+// programDigest hashes a program's data segment followed by its
+// instruction stream (each instruction's fields in declaration order).
+func programDigest(p *isa.Program) string {
+	h := sha256.New()
+	h.Write(p.Data)
+	var buf [13]byte
+	for _, in := range p.Insts {
+		buf[0], buf[1], buf[2], buf[3], buf[4] = byte(in.Op), byte(in.Rd), byte(in.Rs1), byte(in.Rs2), in.Size
+		binary.LittleEndian.PutUint64(buf[5:], uint64(in.Imm))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestProfilesPinned pins every generated program byte for byte: the
+// working-set contents and the code. Every SPEC table depends on them,
+// so a generator change that moves one digest changes results.
+func TestProfilesPinned(t *testing.T) {
+	want := map[string]string{
+		"perlbench": "f8e8600b552f0a0985d2aa240217a6a16e1cb60152b2057ef22b7fade0494287",
+		"gcc":       "f3da4d4e5ac7c7083095727e799fd5841f26a0d65e8f61c78ebc8a1eedf6ffea",
+		"mcf":       "f57473822f0468729b9cc5712d0c070960214daf81ea9b659b8bafbbee29a60d",
+		"omnetpp":   "faba18b6abfdc3457ce07781f02f009ecdcff591c683acf4eebb74cbd30f80fd",
+		"xalancbmk": "79d24d3ddf83c9f047914b22094d28cc5356eec9cdbbcd9b1522505a1288e8e7",
+		"x264":      "5abb62142554a192842161d93c853155c713d9258b1d0183c9a85ac35506f3ed",
+		"deepsjeng": "ecd4e495269d359ff812c91eea390df580123e9813bf20ec738d64e6e30021b5",
+		"leela":     "091e48ca024d31daa90bce34dcc54ce009d471b75ad675043d05c1b1bf556103",
+		"exchange2": "9e77f7f4882980fd68c6ef5a14bdb6b5f0afaf49fe0e16a05f118137979e0f68",
+		"xz":        "509f62a8f9628eafcce5d11a3f62b86d3bd0e146a91384204aa37ee6ccaad3f0",
+		"bwaves":    "651f89ebeebef398969dd36e6703e74626f513dae0d751d62c3ed00e9a9c1f04",
+		"cactuBSSN": "36a329665ddf7faf80f08acb9432c543c31e1c5fe155ce4d9b4a24e7abd8761e",
+		"lbm":       "aef4e739330405abba9e2d2d29331d8597cd22713f3196404f0649c720ea5e45",
+		"wrf":       "85bba8af8a5ff3ca14fe3d804b573984188d5da87ca49e2588bc381004fb9171",
+		"cam4":      "1775c61fb132027577983e65b6e9c8b0a4700f7a4f5af71e2693dfda5b1c05b5",
+		"pop2":      "4b13676bf228976b12d6640e6071001fb6a97b17748493278cc5fb30e0a98b53",
+		"imagick":   "d3d67431952b19c93ce7373ebf320b62b48c80b47732ff2bd5033c3b8879d608",
+		"nab":       "2629e53c73fbdb937402b53f62f86b95a961b34377456d1d3c9821c7a8f0c06e",
+		"fotonik3d": "78aafb62827c94a5031c6b9ab7790217980d74428ab87e214b3b9252e84b115e",
+		"roms":      "f76ff23537065a10251f3a8412b16528615c2df7307810823c136b42c0a2520c",
+	}
+	for _, p := range Profiles() {
+		got := programDigest(p.MustBuild(1 << 40))
+		if got != want[p.Name] {
+			t.Errorf("%s: digest %s, want %s", p.Name, got, want[p.Name])
 		}
 	}
 }
@@ -164,5 +215,9 @@ func TestBadProfilesRejected(t *testing.T) {
 	p2 := Profile{Name: "bad2", WorkingSet: 4096}
 	if _, err := p2.Build(10); err == nil {
 		t.Error("want error for zero blocks")
+	}
+	p3 := Profile{Name: "bad3", WorkingSet: 1 << 31, Blocks: 1, OpsPerBlock: 1}
+	if _, err := p3.Build(10); err == nil {
+		t.Error("want error for a working set above 1GiB")
 	}
 }
