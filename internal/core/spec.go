@@ -211,6 +211,34 @@ func (c *SpecCache) seedFor(prog *isa.Program, seed uint64) uint64 {
 // Stats returns a snapshot of the cache's counters.
 func (c *SpecCache) Stats() obs.SpecSnapshot { return c.stats.Snapshot() }
 
+// Streams returns how many streams the cache holds, complete or still
+// being recorded.
+func (c *SpecCache) Streams() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.streams)
+}
+
+// DropProgram forgets everything recorded over prog: every stream keyed
+// by it, with the micro traces recorded over those streams, and its
+// seedFor entry, which would otherwise keep prog reachable. The caller
+// guarantees no run of prog is in flight; a later run of prog records
+// afresh.
+func (c *SpecCache) DropProgram(prog *isa.Program) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, st := range c.streams {
+		if key.prog != prog {
+			continue
+		}
+		if st.complete {
+			c.bytes -= st.bytes
+		}
+		delete(c.streams, key)
+	}
+	delete(c.seeded, prog)
+}
+
 // Claim outcomes.
 const (
 	claimNone = iota

@@ -668,3 +668,75 @@ func TestSpecRecordingSize(t *testing.T) {
 		t.Errorf("recording takes %.2f B/inst, more than the replaced format's %.2f", perNow, perOld)
 	}
 }
+
+// TestDropProgram pins SpecCache.DropProgram: dropping one program
+// removes every stream recorded over it, under any window, with their
+// micro traces and its seed memo, returns the byte count to its value
+// before those streams were recorded, and leaves another program's
+// streams and micro traces in place. A later run of the dropped program
+// records afresh and still matches its live baseline.
+func TestDropProgram(t *testing.T) {
+	keep, drop := mixedProgram(12000), mixedProgram(9000)
+	cfg := DefaultConfig(a510Checkers(2, 2.0))
+	cache := NewSpecCache()
+	cfg.Spec = cache
+	// Two runs of each workload: the first records the stream, the
+	// second replays it and records the main geometry's micro trace.
+	twice := func(ws []Workload) {
+		for i := 0; i < 2; i++ {
+			runSpec(t, cfg, ws)
+		}
+	}
+	twice([]Workload{{Name: "keep", Prog: keep, MaxInsts: 8000, WarmupInsts: 2000}})
+	before := cache.bytes
+	dropWindows := [][]Workload{
+		{{Name: "drop", Prog: drop, MaxInsts: 8000, WarmupInsts: 2000}},
+		{{Name: "drop", Prog: drop, MaxInsts: 5000}},
+	}
+	for _, ws := range dropWindows {
+		twice(ws)
+	}
+	count := func(prog *isa.Program) (streams, micro int) {
+		for key, st := range cache.streams {
+			if key.prog == prog {
+				streams++
+				micro += len(st.micro)
+			}
+		}
+		return streams, micro
+	}
+	if s, m := count(drop); s != 2 || m != 2 || cache.bytes <= before {
+		t.Fatalf("before the drop: %d streams, %d micro traces, %d bytes (was %d); want 2, 2 and more bytes", s, m, cache.bytes, before)
+	}
+
+	cache.DropProgram(drop)
+	if s, m := count(drop); s != 0 || m != 0 {
+		t.Errorf("after the drop: %d streams and %d micro traces over the dropped program remain", s, m)
+	}
+	if s, m := count(keep); s != 1 || m != 1 {
+		t.Errorf("after the drop: the kept program has %d streams and %d micro traces, want 1 and 1", s, m)
+	}
+	if cache.bytes != before {
+		t.Errorf("after the drop: %d bytes, want %d (the count before the dropped streams were recorded)", cache.bytes, before)
+	}
+	if _, ok := cache.seeded[drop]; ok {
+		t.Error("the seed memo still names the dropped program")
+	}
+	if _, ok := cache.seeded[keep]; !ok {
+		t.Error("the seed memo lost the kept program")
+	}
+	if cache.Streams() != 1 {
+		t.Errorf("Streams() = %d, want 1", cache.Streams())
+	}
+
+	ws := dropWindows[0]
+	live := cfg
+	live.Spec = nil
+	recorded := cache.Stats().StreamsRecorded
+	if got, want := runSpec(t, cfg, ws), runSpec(t, live, ws); got != want {
+		t.Error("a run of the dropped program diverged from its live baseline")
+	}
+	if cache.Stats().StreamsRecorded != recorded+1 {
+		t.Error("a run of the dropped program did not record its stream afresh")
+	}
+}

@@ -743,7 +743,9 @@ func (s *System) accountEffect(l *lane, eff *emu.Effect, budget int64, resumeAtN
 	case s.cfg.InterruptIntervalInsts > 0 && l.sinceIRQ >= s.cfg.InterruptIntervalInsts:
 		l.sinceIRQ = 0
 		return BoundaryInterrupt
-	case !l.segChecked && l.main.TimeNS() >= resumeAtNS:
+	case !l.segChecked && resumeAtNS <= math.MaxFloat64 && l.main.TimeNS() >= resumeAtNS:
+		// resumeAtNS is +Inf unless a checker frees up; testing that
+		// first skips TimeNS's division on every unchecked instruction.
 		return BoundaryInterrupt // resume checking at a fresh checkpoint
 	default:
 		return l.counter.Tick(pushed)

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"paraverser/internal/branch"
@@ -62,8 +63,13 @@ type Core struct {
 	// the hottest path in the simulator). fuFree is a fixed-size array
 	// rather than a slice per class: allocFU runs once per simulated
 	// instruction, and the slice form paid a header load plus bounds
-	// checks per scan (Config.Validate caps Count at maxFUPool).
-	fuFree [isa.NumClasses][maxFUPool]float64
+	// checks per scan (Config.Validate caps Count at maxFUPool). Each
+	// entry is a unit's next free time (cycles) as IEEE-754 bits: times
+	// are finite and >= 0, where bit order is numeric order, so allocFU
+	// compares them as integers, which compiles to conditional moves
+	// (float min/max lower to a longer NaN-safe sequence). An OoO core
+	// keeps each pool sorted ascending.
+	fuFree [isa.NumClasses][maxFUPool]uint64
 	fuN    [isa.NumClasses]int32
 	// fuNext is the in-order fast path's round-robin cursor per class:
 	// the index of the oldest-assigned pool entry (see allocFU).
@@ -287,17 +293,21 @@ func (c *Core) srcReady(d *isa.DecInst) float64 {
 // (predecoded) FU class's pool, returning its start time given the
 // earliest possible issue time.
 //
-// The OoO path scans for the minimum (first-minimum tie-break, so the
-// pool multiset — and therefore every downstream timestamp — is
-// identical to the historical slice-based scan). In-order cores take an
-// O(1) round-robin cursor instead, which selects the same minimum: with
-// !OoO, issue is clamped to lastIssue (Consume) and so non-decreasing;
-// the pool minimum is non-decreasing by construction; hence each
-// assigned value start+InitInterval = max(issue, min)+II is
-// non-decreasing, the pool always holds the last n assigned values, and
-// the oldest-assigned entry — the cursor position — IS the minimum.
-// Equal values make victim choice multiset-equivalent, so tie-breaks
-// cannot diverge either.
+// The unit taken is a minimum of the pool, and only the pool multiset
+// reaches any timestamp: start is max(earliest, min), and the unit's
+// entry becomes start+InitInterval. An OoO core keeps each pool sorted
+// ascending, so pool[0] is the minimum, and one min/max pass drops it
+// and inserts the new entry in order. That leaves the same multiset as
+// overwriting the first minimum of an unsorted pool, without a branch
+// on simulated time. In-order cores take an O(1) round-robin cursor
+// instead, which selects the same minimum: with !OoO, issue is clamped
+// to lastIssue (Consume) and so non-decreasing; the pool minimum is
+// non-decreasing by construction; hence each assigned value
+// start+InitInterval = max(issue, min)+II is non-decreasing, the pool
+// always holds the last n assigned values, and the oldest-assigned
+// entry — the cursor position — IS the minimum. Equal values make
+// victim choice multiset-equivalent, so tie-breaks cannot diverge
+// either.
 //
 //paralint:hotpath
 func (c *Core) allocFU(fuClass isa.Class, earliest float64) (start float64, latency int) {
@@ -305,21 +315,25 @@ func (c *Core) allocFU(fuClass isa.Class, earliest float64) (start float64, late
 	fu := &c.fuCfg[fuClass]
 	n := int(c.fuN[fuClass])
 	if n > maxFUPool {
-		n = maxFUPool // unreachable (Validate); lets the scan elide bounds checks
+		n = maxFUPool // unreachable (Validate); lets the pass elide bounds checks
+	}
+	e := math.Float64bits(earliest)
+	if c.cfg.OoO {
+		start = math.Float64frombits(max(e, pool[0]))
+		x := math.Float64bits(start + float64(fu.InitInterval))
+		for i := 1; i < n; i++ {
+			v := pool[i]
+			pool[i-1] = min(v, x)
+			x = max(v, x)
+		}
+		pool[(n-1)&(maxFUPool-1)] = x // n >= 1 (Validate)
+		return start, fu.Latency
 	}
 	best := 0
-	switch {
-	case n == 1:
-		// Single-unit pool (stores, dividers, every scalar-checker
-		// class): the unit is pool[0]; skip the scan and the cursor
-		// update (fuNext stays 0, which both paths would compute).
-	case c.cfg.OoO:
-		for i := 1; i < n; i++ {
-			if pool[i] < pool[best] {
-				best = i
-			}
-		}
-	default:
+	if n > 1 {
+		// A single-unit pool (stores, dividers, every scalar-checker
+		// class) is pool[0]; fuNext stays 0, which the cursor would
+		// compute too.
 		best = int(c.fuNext[fuClass]) & (maxFUPool - 1)
 		next := best + 1
 		if next >= n {
@@ -327,11 +341,8 @@ func (c *Core) allocFU(fuClass isa.Class, earliest float64) (start float64, late
 		}
 		c.fuNext[fuClass] = int32(next)
 	}
-	start = earliest
-	if pool[best] > start {
-		start = pool[best]
-	}
-	pool[best] = start + float64(fu.InitInterval)
+	start = math.Float64frombits(max(e, pool[best]))
+	pool[best] = math.Float64bits(start + float64(fu.InitInterval))
 	return start, fu.Latency
 }
 

@@ -1,6 +1,10 @@
 package cpu
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"paraverser/internal/asm"
@@ -357,5 +361,67 @@ func TestCoreReleaseDetaches(t *testing.T) {
 	c.Release()
 	if c.BP != nil || c.Hier.L1D != nil {
 		t.Error("Release left the branch unit or L1D attached")
+	}
+}
+
+// TestAllocFUMatchesFirstMinimumScan checks allocFU against the
+// reference it replaced: scan an unsorted pool for its first minimum,
+// start at max(earliest, minimum), and overwrite that unit with
+// start+InitInterval. Over random (class, earliest) sequences on the
+// X2 (sorted OoO pools), A510 and A35 (in-order cursor; their issue
+// times never decrease) FU tables, every start time and every pool
+// multiset must match.
+func TestAllocFUMatchesFirstMinimumScan(t *testing.T) {
+	for _, cfg := range []Config{X2(), A510(), A35()} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			c := MustNewCore(cfg, 0, ModeMain)
+			var classes []isa.Class
+			ref := make(map[isa.Class][]float64)
+			for cl := isa.Class(0); int(cl) < isa.NumClasses; cl++ {
+				if fu, ok := cfg.FUs[cl]; ok {
+					classes = append(classes, cl)
+					ref[cl] = make([]float64, fu.Count)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(len(cfg.Name))))
+			earliest := 0.0
+			for step := 0; step < 20000; step++ {
+				cl := classes[rng.Intn(len(classes))]
+				if cfg.OoO {
+					// Integer and half-cycle times collide often, so
+					// ties between units are exercised.
+					earliest = float64(rng.Intn(400)) / 2
+				} else {
+					earliest += float64(rng.Intn(3)) / 2
+				}
+				pool, fu := ref[cl], cfg.FUs[cl]
+				best := 0
+				for i := 1; i < len(pool); i++ {
+					if pool[i] < pool[best] {
+						best = i
+					}
+				}
+				want := earliest
+				if pool[best] > want {
+					want = pool[best]
+				}
+				pool[best] = want + float64(fu.InitInterval)
+
+				got, lat := c.allocFU(cl, earliest)
+				if got != want || lat != fu.Latency {
+					t.Fatalf("step %d, class %v, earliest %v: start %v latency %d, want %v and %d", step, cl, earliest, got, lat, want, fu.Latency)
+				}
+				have := make([]float64, len(pool))
+				for i := range have {
+					have[i] = math.Float64frombits(c.fuFree[cl][i])
+				}
+				wantPool := append([]float64(nil), pool...)
+				sort.Float64s(have)
+				sort.Float64s(wantPool)
+				if !slices.Equal(have, wantPool) {
+					t.Fatalf("step %d, class %v: pool %v, want multiset %v", step, cl, have, wantPool)
+				}
+			}
+		})
 	}
 }

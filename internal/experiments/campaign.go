@@ -14,20 +14,22 @@ import (
 // every segment for real (fault.RunCampaign). trials <= 0 picks a
 // scale-appropriate default; workers <= 0 runs at the shared engine's
 // worker bound. The base seed makes the verdict tables reproducible
-// regardless of workers.
+// regardless of workers. The engine holds the programs until the
+// campaign returns.
 func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult, error) {
 	if trials <= 0 {
 		trials = 4 * sc.FaultTrials
 	}
-	var workloads []core.Workload
-	for _, bench := range sc.faultBenchmarks() {
-		prog, err := specProg(bench)
-		if err != nil {
-			return nil, err
-		}
-		workloads = append(workloads, core.Workload{
-			Name: bench, Prog: prog, MaxInsts: sc.FaultHorizon,
-		})
+	e := defaultEngine()
+	names := sc.faultBenchmarks()
+	progs, release, err := e.holdSpec(names)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	workloads := make([]core.Workload, len(names))
+	for i, bench := range names {
+		workloads[i] = core.Workload{Name: bench, Prog: progs[i], MaxInsts: sc.FaultHorizon}
 	}
 
 	full := core.DefaultConfig(a510Spec(4, 2.0))
@@ -35,7 +37,7 @@ func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult,
 	opp := core.DefaultConfig(a510Spec(2, 2.0))
 	opp.Mode = core.ModeOpportunistic
 	opp.Recovery = core.DefaultRecovery()
-	return defaultEngine().campaign(fault.CampaignConfig{
+	return e.campaign(fault.CampaignConfig{
 		Seed:      seed,
 		Trials:    trials,
 		Workers:   workers,

@@ -37,15 +37,16 @@ type DivergentResult struct {
 // SPEC benchmarks, two GAP kernels, and the one-thread PARSEC
 // blackscholes build. Divergent mode requires single-hart programs (the
 // private canonical image cannot track cross-hart stores), which is why
-// the PARSEC entry uses BlackscholesThreads(n, 1).
-func divergentWorkloads(sc Scale) ([]core.Workload, error) {
-	var ws []core.Workload
-	for _, bench := range sc.faultBenchmarks() {
-		prog, err := specProg(bench)
-		if err != nil {
-			return nil, err
-		}
-		ws = append(ws, core.Workload{Name: bench, Prog: prog, MaxInsts: sc.FaultHorizon})
+// the PARSEC entry uses BlackscholesThreads(n, 1). The SPEC programs are
+// held on e until the caller calls release.
+func (e *Engine) divergentWorkloads(sc Scale) (ws []core.Workload, release func(), err error) {
+	names := sc.faultBenchmarks()
+	progs, release, err := e.holdSpec(names)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, bench := range names {
+		ws = append(ws, core.Workload{Name: bench, Prog: progs[i], MaxInsts: sc.FaultHorizon})
 	}
 	p := studyProgs(sc)
 	ws = append(ws,
@@ -53,7 +54,7 @@ func divergentWorkloads(sc Scale) ([]core.Workload, error) {
 		core.Workload{Name: "gap.pr", Prog: p.pr, MaxInsts: sc.FaultHorizon},
 		core.Workload{Name: "parsec.blackscholes1", Prog: p.bs, MaxInsts: sc.FaultHorizon},
 	)
-	return ws, nil
+	return ws, release, nil
 }
 
 // studyProgCache holds divergentWorkloads' GAP and PARSEC programs, one

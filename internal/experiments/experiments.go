@@ -16,10 +16,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"paraverser/internal/core"
-	"paraverser/internal/isa"
 	"paraverser/internal/stats"
 	"paraverser/internal/workload/spec"
 )
@@ -102,31 +100,6 @@ func (sc Scale) faultBenchmarks() []string {
 	return []string{"bwaves", "deepsjeng", "imagick", "perlbench"}
 }
 
-// progCache holds one singleflight entry per benchmark program;
-// generation (working-set initialisation) dominates otherwise, and two
-// goroutines racing on an uncached benchmark must not both pay it.
-var progCache sync.Map // string -> *progEntry
-
-type progEntry struct {
-	once sync.Once
-	prog *isa.Program
-	err  error
-}
-
-func specProg(name string) (*isa.Program, error) {
-	v, _ := progCache.LoadOrStore(name, &progEntry{})
-	e := v.(*progEntry)
-	e.once.Do(func() {
-		p, err := spec.ByName(name)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.prog, e.err = p.Build(1 << 40)
-	})
-	return e.prog, e.err
-}
-
 // baselineCfg is the no-checking configuration every slowdown figure
 // normalises against.
 func baselineCfg() core.Config {
@@ -135,14 +108,14 @@ func baselineCfg() core.Config {
 	return cfg
 }
 
-// submit schedules cfg on one SPEC benchmark at the scale's window.
-func (sc Scale) submit(e *Engine, cfg core.Config, bench string) *Future {
-	return e.Submit(cfg, specRun(bench, sc.Insts, sc.Warmup))
-}
-
 // submitMatrix submits the no-checking baseline and every configuration
-// on each benchmark at the scale's window. It returns the baseline
-// futures by benchmark and the run futures by label, then benchmark.
+// on each benchmark at the scale's window, all of one benchmark's runs
+// before the next benchmark's: the engine frees a SPEC program when its
+// last run finishes (Engine.Submit), so this order lets each program go
+// as early as the pool allows. Figures pass the runs their tables do
+// not show as columns (fig. 6's DVFS points, fig. 11's slow-mesh
+// baseline) in configs too. It returns the baseline futures by
+// benchmark and the run futures by label, then benchmark.
 func (sc Scale) submitMatrix(e *Engine, configs []NamedConfig, benches []string) (base map[string]*Future, runs map[string]map[string]*Future) {
 	base = make(map[string]*Future, len(benches))
 	runs = make(map[string]map[string]*Future, len(configs))
@@ -150,9 +123,10 @@ func (sc Scale) submitMatrix(e *Engine, configs []NamedConfig, benches []string)
 		runs[nc.Label] = make(map[string]*Future, len(benches))
 	}
 	for _, bench := range benches {
-		base[bench] = sc.submit(e, baselineCfg(), bench)
+		ws := specRun(bench, sc.Insts, sc.Warmup)
+		base[bench] = e.Submit(baselineCfg(), ws)
 		for _, nc := range configs {
-			runs[nc.Label][bench] = sc.submit(e, nc.Cfg, bench)
+			runs[nc.Label][bench] = e.Submit(nc.Cfg, ws)
 		}
 	}
 	return base, runs

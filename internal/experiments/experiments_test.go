@@ -253,14 +253,18 @@ func TestMixesMatchPaperFootnote(t *testing.T) {
 	if len(m) != 5 {
 		t.Fatalf("%d mixes, want 5", len(m))
 	}
+	e := NewEngine(1)
 	for name, benches := range m {
 		if len(benches) != 4 {
 			t.Errorf("%s has %d benchmarks, want 4", name, len(benches))
 		}
 		for _, b := range benches {
-			if _, err := specProg(b); err != nil {
+			_, release, err := e.holdSpec([]string{b})
+			if err != nil {
 				t.Errorf("%s: %v", b, err)
+				continue
 			}
+			release()
 		}
 	}
 }

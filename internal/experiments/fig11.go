@@ -37,22 +37,20 @@ func fig11(e *Engine, sc Scale) (*SeriesResult, error) {
 	}
 	// Checking overhead is measured against a no-checking baseline on the
 	// SAME mesh: the study isolates the cost of LSL traffic, not of the
-	// slower fabric itself. The matrix's baseline runs on the default,
-	// fast mesh.
-	baseFastF, runF := sc.submitMatrix(e, configs, r.Benchmarks)
+	// slower fabric itself. The matrix's own baseline runs on the default,
+	// fast mesh; the slow-mesh baseline rides in the matrix as one more
+	// configuration.
+	const slowBaseLabel = "slowNoC-baseline"
 	slowBase := baselineCfg()
 	slowBase.NoC = noc.Slow()
-	baseSlowF := make(map[string]*Future, len(r.Benchmarks))
-	for _, bench := range r.Benchmarks {
-		baseSlowF[bench] = sc.submit(e, slowBase, bench)
-	}
+	baseFastF, runF := sc.submitMatrix(e, append(configs, NamedConfig{Label: slowBaseLabel, Cfg: slowBase}), r.Benchmarks)
 
 	for _, bench := range r.Benchmarks {
 		baseFast, err := clean(baseFastF[bench], "fig11 fast-mesh baseline %s", bench)
 		if err != nil {
 			return nil, err
 		}
-		baseSlow, err := clean(baseSlowF[bench], "fig11 slow-mesh baseline %s", bench)
+		baseSlow, err := clean(runF[slowBaseLabel][bench], "fig11 slow-mesh baseline %s", bench)
 		if err != nil {
 			return nil, err
 		}

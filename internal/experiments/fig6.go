@@ -34,6 +34,19 @@ func ed2pCfg(f float64) core.Config {
 	return core.DefaultConfig(a510Spec(4, f))
 }
 
+// ed2pLabel names the DVFS point f among a matrix's runs.
+func ed2pLabel(f float64) string { return fmt.Sprintf("ed2p@%gGHz", f) }
+
+// ed2pConfigs are the 4xA510 DVFS sweep's points, which figures submit
+// with their matrix (submitMatrix) and ed2pPoint reads back by label.
+func (sc Scale) ed2pConfigs() []NamedConfig {
+	out := make([]NamedConfig, len(sc.ED2PFreqs))
+	for i, f := range sc.ED2PFreqs {
+		out[i] = NamedConfig{Label: ed2pLabel(f), Cfg: ed2pCfg(f)}
+	}
+	return out
+}
+
 // Fig6 reproduces the full-coverage slowdown figure: main-core slowdown
 // (percent) per benchmark for each checker configuration, including the
 // per-benchmark ED²P-minimal 4xA510 DVFS point.
@@ -58,8 +71,7 @@ func fig6(e *Engine, sc Scale) (*SeriesResult, error) {
 	// Submit the full (config × benchmark) matrix, the baselines and the
 	// DVFS sweep up front; the engine runs them in parallel and shares
 	// repeats.
-	baseF, runF := sc.submitMatrix(e, configs, r.Benchmarks)
-	ed2pF := sc.submitED2P(e, r.Benchmarks)
+	baseF, runF := sc.submitMatrix(e, append(configs, sc.ed2pConfigs()...), r.Benchmarks)
 
 	// Assemble in deterministic label/benchmark order.
 	for _, bench := range r.Benchmarks {
@@ -74,7 +86,7 @@ func fig6(e *Engine, sc Scale) (*SeriesResult, error) {
 			}
 			r.Values[nc.Label][bench] = slowdownPct(res, base)
 		}
-		slow, _, err := ed2pPoint(sc, bench, ed2pF[bench], base)
+		slow, _, err := ed2pPoint(sc, bench, runF, base)
 		if err != nil {
 			return nil, err
 		}
@@ -87,29 +99,18 @@ func fig6(e *Engine, sc Scale) (*SeriesResult, error) {
 	return r, nil
 }
 
-// submitED2P submits the 4xA510 DVFS sweep on each benchmark and
-// returns its futures by benchmark, in sc.ED2PFreqs order.
-func (sc Scale) submitED2P(e *Engine, benches []string) map[string][]*Future {
-	futs := make(map[string][]*Future, len(benches))
-	for _, bench := range benches {
-		for _, f := range sc.ED2PFreqs {
-			futs[bench] = append(futs[bench], sc.submit(e, ed2pCfg(f), bench))
-		}
-	}
-	return futs
-}
-
 // ed2pPoint searches the A510 DVFS points for the frequency minimising
 // energy x delay² on one benchmark, returning its slowdown percentage and
-// checking-energy overhead. futs are the benchmark's submitED2P futures.
-func ed2pPoint(sc Scale, bench string, futs []*Future, base *core.Result) (slowPct, energyOverhead float64, err error) {
+// checking-energy overhead. runs are the matrix's futures by label, then
+// benchmark, with the sweep among them (ed2pConfigs).
+func ed2pPoint(sc Scale, bench string, runs map[string]map[string]*Future, base *core.Result) (slowPct, energyOverhead float64, err error) {
 	type point struct {
 		slow, overhead float64
 		energyJ, dNS   float64
 	}
 	points := make(map[float64]point, len(sc.ED2PFreqs))
-	for i, f := range sc.ED2PFreqs {
-		res, err := clean(futs[i], "fig6 ed2p %s @%.2gGHz", bench, f)
+	for _, f := range sc.ED2PFreqs {
+		res, err := clean(runs[ed2pLabel(f)][bench], "fig6 ed2p %s @%.2gGHz", bench, f)
 		if err != nil {
 			return 0, 0, err
 		}

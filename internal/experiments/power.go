@@ -51,8 +51,7 @@ func powerStudy(e *Engine, sc Scale) (*PowerResult, error) {
 	}
 
 	benches := sc.benchmarks()
-	baseF, runF := sc.submitMatrix(e, configs, benches)
-	ed2pF := sc.submitED2P(e, benches)
+	baseF, runF := sc.submitMatrix(e, append(configs, sc.ed2pConfigs()...), benches)
 
 	for _, nc := range configs {
 		var overheads, slows []float64
@@ -80,15 +79,15 @@ func powerStudy(e *Engine, sc Scale) (*PowerResult, error) {
 	}
 
 	// ED²P-minimal 4xA510: per-benchmark best DVFS point. The sweep was
-	// submitted above (and typically already cached by fig. 6), so this
-	// only assembles.
+	// submitted with the matrix (and typically already cached by fig. 6),
+	// so this only assembles.
 	var overheads, slows []float64
 	for _, bench := range benches {
 		base, err := clean(baseF[bench], "power baseline %s", bench)
 		if err != nil {
 			return nil, err
 		}
-		slow, overhead, err := ed2pPoint(sc, bench, ed2pF[bench], base)
+		slow, overhead, err := ed2pPoint(sc, bench, runF, base)
 		if err != nil {
 			return nil, err
 		}

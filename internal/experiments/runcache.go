@@ -49,20 +49,18 @@ func fingerprint(cfg *core.Config) string {
 }
 
 // workloadsKey renders the workload list's identity; it is the one
-// formatter of workload keys. SPEC programs are canonicalised by name,
-// whether submitted by name (nil Prog, see specRun) or with the program
-// specProg built (one immutable *isa.Program per name per process), so
-// both forms of one run share a cache entry. Any other program is
-// identified by pointer, which the cache entry keeps alive so the
-// address cannot be recycled while the key is live.
+// formatter of workload keys. A SPEC program is named by its benchmark
+// (nil Prog: submitted by name, or turned into that form by
+// Engine.byName), so every run of one benchmark window shares a key
+// whichever program build serves it. Any other program is identified by
+// pointer, which the cache entry keeps alive so the address cannot be
+// recycled while the key is live.
 func workloadsKey(ws []core.Workload) string {
 	out := ""
 	for i := range ws {
 		w := &ws[i]
 		id := fmt.Sprintf("%p", w.Prog)
 		if w.Prog == nil {
-			id = "spec:" + w.Name
-		} else if p, ok := progCache.Load(w.Name); ok && p.(*progEntry).prog == w.Prog {
 			id = "spec:" + w.Name
 		}
 		out += fmt.Sprintf("%s|%s|%d|%d\n", w.Name, id, w.MaxInsts, w.WarmupInsts)

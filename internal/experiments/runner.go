@@ -8,6 +8,19 @@
 // baselines every figure needs, the DVFS points both fig. 6 and the
 // power study sweep) are computed exactly once per process.
 //
+// Program lifetime: the engine owns the SPEC programs its runs name
+// (specRun). A program is built inside the pool slot of the first run
+// that needs it and is freed, together with every stream the SpecCache
+// recorded over it, as soon as no submitted run and no running study
+// names it. A submission that will execute holds its programs from
+// Submit until its simulation returns; a study that hands programs to
+// code outside Submit (Campaign, the divergent and strategies studies)
+// holds them for its whole duration. Figures submit all of one
+// benchmark's runs before the next benchmark's (submitMatrix), so each
+// program is freed early in a sweep. Reclamation is left to the
+// runtime's pacer: forcing a collection after each drop lowers the
+// peak further but costs more CPU time than it is worth.
+//
 // Concurrency safety: core.Run builds a private System — mesh, LLC,
 // DRAM model, per-lane cores and machines — per call, so concurrent
 // independent runs never share mutable state. The shared inputs are
@@ -25,7 +38,9 @@ import (
 	"sync/atomic"
 
 	"paraverser/internal/core"
+	"paraverser/internal/isa"
 	"paraverser/internal/obs"
+	"paraverser/internal/workload/spec"
 )
 
 // Engine fans independent simulation runs out over a bounded worker pool
@@ -41,6 +56,11 @@ type Engine struct {
 	// Attached only to cacheable submissions; results are byte-identical
 	// with or without it.
 	spec *core.SpecCache
+
+	// progMu guards progs, the live SPEC programs by name, and their
+	// hold counts (hold, release).
+	progMu sync.Mutex
+	progs  map[string]*progEntry
 
 	mu    sync.Mutex
 	cache map[runKey]*runCall
@@ -70,6 +90,7 @@ func NewEngine(workers int) *Engine {
 		sem:   make(chan struct{}, workers),
 		cache: make(map[runKey]*runCall),
 		spec:  core.NewSpecCache(),
+		progs: make(map[string]*progEntry),
 	}
 }
 
@@ -169,8 +190,10 @@ type runCall struct {
 	done chan struct{}
 	res  *core.Result
 	err  error
-	// ws pins the workload programs for the cache's lifetime so a
-	// pointer-identified program address can never be recycled while its
+	// ws is the submitted workload list. By-name workloads (nil Prog)
+	// stay by name, so a finished run pins no SPEC program; a
+	// pointer-identified program (GAP, PARSEC, fuzz) stays pinned for the
+	// cache's lifetime so its address can never be recycled while its
 	// key is live.
 	ws []core.Workload
 }
@@ -189,34 +212,39 @@ func (f *Future) Wait() (*core.Result, error) {
 // Submit schedules one simulation of ws under cfg and returns its
 // future. A workload with a nil Prog names a SPEC benchmark (specRun):
 // its program is built inside the run's pool slot, so first-time
-// working-set generation parallelises with other runs, and it shares a
-// cache key with the same benchmark submitted with its specProg program.
+// working-set generation parallelises with other runs. A workload whose
+// Prog is the engine's live program of that name (a study's, holdSpec)
+// is submitted by name too, so both forms share one cache key.
 // Cacheable submissions (no fault interceptor) are deduplicated
 // content-addressed: an identical earlier submission — completed or
 // still in flight — is shared rather than re-run. Uncacheable
 // submissions always execute privately but still occupy pool slots, so
-// fault-injection matrices parallelise under the same bound.
+// fault-injection matrices parallelise under the same bound. A
+// submission that will execute holds its SPEC programs from here until
+// its simulation returns (see the package comment); taking the hold now
+// rather than in the pool slot keeps a program alive between two queued
+// runs that need it.
 func (e *Engine) Submit(cfg core.Config, ws []core.Workload) *Future {
 	applyTrace(&cfg)
 	e.applySpec(&cfg)
 	e.jobs.Add(1)
+	ws = e.byName(ws)
 	c := &runCall{done: make(chan struct{}), ws: ws}
-	if !cacheable(&cfg) {
+	if cacheable(&cfg) {
+		key := keyFor(&cfg, ws)
+		e.mu.Lock()
+		if old, ok := e.cache[key]; ok {
+			e.mu.Unlock()
+			e.noteHit(old)
+			return &Future{c: old}
+		}
+		e.cache[key] = c
+		e.mu.Unlock()
+	} else {
 		e.mu.Lock()
 		e.uncached = append(e.uncached, c)
 		e.mu.Unlock()
-		e.start(cfg, c)
-		return &Future{c: c}
 	}
-	key := keyFor(&cfg, ws)
-	e.mu.Lock()
-	if old, ok := e.cache[key]; ok {
-		e.mu.Unlock()
-		e.noteHit(old)
-		return &Future{c: old}
-	}
-	e.cache[key] = c
-	e.mu.Unlock()
 	e.start(cfg, c)
 	return &Future{c: c}
 }
@@ -244,19 +272,30 @@ func (e *Engine) noteHit(c *runCall) {
 	e.done.Add(1)
 }
 
-// start runs c inside a pool slot: it builds the programs of workloads
-// submitted by name, then simulates.
+// start holds c's SPEC programs and runs c inside a pool slot: it
+// builds the programs of workloads submitted by name, simulates, and
+// releases the holds before the run's future resolves.
 func (e *Engine) start(cfg core.Config, c *runCall) {
+	held := make([]*progEntry, len(c.ws))
+	for i := range c.ws {
+		if c.ws[i].Prog == nil {
+			held[i] = e.hold(c.ws[i].Name)
+		}
+	}
 	go func() {
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
-		ws, err := resolve(c.ws)
+		ws, err := e.resolve(c.ws, held)
 		if err != nil {
 			c.err = err
 		} else {
-			c.ws = ws
 			e.runs.Add(1)
 			c.res, c.err = core.Run(cfg, ws)
+		}
+		for i, pe := range held {
+			if pe != nil {
+				e.release(c.ws[i].Name)
+			}
 		}
 		if c.err == nil && c.res.Metrics != nil {
 			e.segs.Add(int64(c.res.Metrics.Segments))
@@ -267,21 +306,132 @@ func (e *Engine) start(cfg core.Config, c *runCall) {
 }
 
 // resolve returns a copy of ws with the program of every workload
-// submitted by name (nil Prog) built by specProg. It copies because
-// submissions may share one slice.
-func resolve(ws []core.Workload) ([]core.Workload, error) {
+// submitted by name (nil Prog) built through its held entry. It copies
+// because submissions may share one slice; the copy dies with the run.
+func (e *Engine) resolve(ws []core.Workload, held []*progEntry) ([]core.Workload, error) {
 	out := append([]core.Workload(nil), ws...)
 	for i := range out {
-		if out[i].Prog != nil {
+		if held[i] == nil {
 			continue
 		}
-		prog, err := specProg(out[i].Name)
+		prog, err := e.build(held[i], out[i].Name)
 		if err != nil {
 			return nil, err
 		}
 		out[i].Prog = prog
 	}
 	return out, nil
+}
+
+// progEntry is one live SPEC program: built once, by whichever holder
+// needs it first, and shared by every holder until the last release.
+type progEntry struct {
+	once  sync.Once
+	holds int // guarded by Engine.progMu
+	// prog and err are written once, under Engine.progMu, so byName can
+	// compare against prog while another holder is still building it.
+	prog *isa.Program
+	err  error
+}
+
+// hold takes one hold on the SPEC program name, adding an unbuilt entry
+// if none is live.
+func (e *Engine) hold(name string) *progEntry {
+	e.progMu.Lock()
+	defer e.progMu.Unlock()
+	pe := e.progs[name]
+	if pe == nil {
+		pe = &progEntry{}
+		e.progs[name] = pe
+	}
+	pe.holds++
+	return pe
+}
+
+// build returns pe's program, generating it on first call; concurrent
+// holders wait for one generation.
+func (e *Engine) build(pe *progEntry, name string) (*isa.Program, error) {
+	pe.once.Do(func() {
+		var prog *isa.Program
+		p, err := spec.ByName(name)
+		if err == nil {
+			prog, err = p.Build(1 << 40)
+		}
+		e.progMu.Lock()
+		pe.prog, pe.err = prog, err
+		e.progMu.Unlock()
+	})
+	return pe.prog, pe.err
+}
+
+// release gives back one hold on name. The last release deletes the
+// entry and drops what the SpecCache recorded over the program, so both
+// become garbage; a later hold builds the program again, byte-identical
+// (spec.Profile.Build is deterministic).
+func (e *Engine) release(name string) {
+	e.progMu.Lock()
+	pe := e.progs[name]
+	pe.holds--
+	if pe.holds > 0 {
+		e.progMu.Unlock()
+		return
+	}
+	delete(e.progs, name)
+	prog := pe.prog
+	e.progMu.Unlock()
+	if prog != nil {
+		e.spec.DropProgram(prog)
+	}
+}
+
+// holdSpec holds the named SPEC programs and builds them, for a study
+// that hands them to code outside Submit (Campaign, divergentWorkloads).
+// The caller calls release once the study is done; on error nothing
+// stays held.
+func (e *Engine) holdSpec(names []string) (progs []*isa.Program, release func(), err error) {
+	held := make([]*progEntry, len(names))
+	for i, name := range names {
+		held[i] = e.hold(name)
+	}
+	release = func() {
+		for _, name := range names {
+			e.release(name)
+		}
+	}
+	progs = make([]*isa.Program, len(names))
+	for i, pe := range held {
+		if progs[i], err = e.build(pe, names[i]); err != nil {
+			release()
+			return nil, nil, err
+		}
+	}
+	return progs, release, nil
+}
+
+// byName returns ws with every workload whose Prog is the engine's live
+// program of that name turned into a by-name workload (nil Prog). It
+// copies only when it changes something, since submissions may share
+// one slice.
+func (e *Engine) byName(ws []core.Workload) []core.Workload {
+	e.progMu.Lock()
+	defer e.progMu.Unlock()
+	var out []core.Workload
+	for i := range ws {
+		if ws[i].Prog == nil {
+			continue
+		}
+		if pe := e.progs[ws[i].Name]; pe == nil || pe.prog != ws[i].Prog {
+			continue
+		}
+		if out == nil {
+			out = append([]core.Workload(nil), ws...)
+		}
+		out[i].Prog = nil
+	}
+	if out == nil {
+		return ws
+	}
+	return out
 }
 
 // defaultEngine is the process-wide engine the exported entry points

@@ -121,6 +121,35 @@ func TestFig6SubmitsDVFSOnce(t *testing.T) {
 	}
 }
 
+// TestSpecProgramsReleased asserts the engine frees what fig. 6 used:
+// once the figure returns, the engine holds no SPEC program and its
+// SpecCache no stream, although the runs recorded and replayed streams
+// on the way. Runs and hits are the counts the engine had before it
+// released programs (the submission set did not change).
+func TestSpecProgramsReleased(t *testing.T) {
+	sc := Quick()
+	sc.Benchmarks = []string{"mcf", "exchange2"}
+	e := NewEngine(2)
+	if _, err := fig6(e, sc); err != nil {
+		t.Fatal(err)
+	}
+	if e.Runs() != 14 || e.Hits() != 2 {
+		t.Errorf("fig6: %d runs, %d hits; want 14 runs, 2 hits", e.Runs(), e.Hits())
+	}
+	e.progMu.Lock()
+	held := len(e.progs)
+	e.progMu.Unlock()
+	if held != 0 {
+		t.Errorf("fig6 returned with %d SPEC programs still held", held)
+	}
+	if n := e.spec.Streams(); n != 0 {
+		t.Errorf("fig6 returned with %d streams still in the SpecCache", n)
+	}
+	if st := e.SpecStats(); st.StreamsRecorded == 0 || st.StreamsReplayed == 0 {
+		t.Errorf("fig6 recorded %d and replayed %d streams; want both > 0", st.StreamsRecorded, st.StreamsReplayed)
+	}
+}
+
 // TestSubmitSingleflight asserts identical concurrent submissions share
 // one simulation.
 func TestSubmitSingleflight(t *testing.T) {
@@ -143,17 +172,19 @@ func TestSubmitSingleflight(t *testing.T) {
 }
 
 // TestSpecFormsShareRun asserts a SPEC benchmark submitted by name
-// (specRun) and the same benchmark submitted with its specProg program
-// are one run: one key format, one cache entry, one simulation.
+// (specRun) and the same benchmark submitted with the engine's held
+// program (holdSpec) are one run: one key format, one cache entry, one
+// simulation.
 func TestSpecFormsShareRun(t *testing.T) {
 	e := NewEngine(2)
 	cfg := baselineCfg()
 	byName := e.Submit(cfg, specRun("exchange2", 20_000, 10_000))
-	prog, err := specProg("exchange2")
+	progs, release, err := e.holdSpec([]string{"exchange2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withProg := e.Submit(cfg, []core.Workload{{Name: "exchange2", Prog: prog, MaxInsts: 20_000, WarmupInsts: 10_000}})
+	defer release()
+	withProg := e.Submit(cfg, []core.Workload{{Name: "exchange2", Prog: progs[0], MaxInsts: 20_000, WarmupInsts: 10_000}})
 	for _, f := range []*Future{byName, withProg} {
 		if _, err := f.Wait(); err != nil {
 			t.Fatal(err)

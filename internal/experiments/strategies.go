@@ -67,10 +67,11 @@ type pairedRuns struct {
 // and results land in trial order, so the results are byte-identical at
 // any worker count. study names the caller in errors.
 func pairedStudy(e *Engine, sc Scale, seed int64, trials int, study, title string, strats []core.Strategy) (*pairedRuns, error) {
-	ws, err := divergentWorkloads(sc)
+	ws, release, err := e.divergentWorkloads(sc)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	out := &pairedRuns{
 		slowdown: &SeriesResult{
 			Title:  title,

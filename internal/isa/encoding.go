@@ -56,11 +56,18 @@ func (in Inst) Encode() ([InstBytes]byte, error) {
 	return b, nil
 }
 
-// DecodeInst unpacks an 8-byte binary instruction.
+// DecodeInst unpacks an 8-byte binary instruction. It rejects what
+// Program.Validate would: an undefined opcode, or a register field
+// beyond the 32-entry register files the emulator indexes directly.
 func DecodeInst(b [InstBytes]byte) (Inst, error) {
 	op := Op(b[0])
 	if !op.Valid() {
 		return Inst{}, fmt.Errorf("decode: invalid opcode %d", b[0])
+	}
+	for i, field := range [...]string{"rd", "rs1", "rs2"} {
+		if r := b[1+i]; r >= NumIntRegs {
+			return Inst{}, fmt.Errorf("decode: %s: %s register %d out of range (%d registers)", op, field, r, NumIntRegs)
+		}
 	}
 	u := uint32(b[5]) | uint32(b[6])<<8 | uint32(b[7])<<16
 	// Sign-extend the 24-bit immediate.

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -194,5 +195,28 @@ func TestPCToAddr(t *testing.T) {
 	}
 	if PCToAddr(10)-PCToAddr(9) != InstBytes {
 		t.Error("PC stride != InstBytes")
+	}
+}
+
+// TestDecodeRejectsBadRegisters pins the register check: a field of 32
+// or more is rejected with an error naming the field, as
+// Program.Validate rejects it, while 31 decodes.
+func TestDecodeRejectsBadRegisters(t *testing.T) {
+	good, err := Inst{Op: OpADD, Rd: 31, Rs1: 31, Rs2: 31}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeInst(good); err != nil {
+		t.Fatalf("register 31: %v", err)
+	}
+	for i, field := range []string{"rd", "rs1", "rs2"} {
+		for _, r := range []byte{NumIntRegs, 255} {
+			b := good
+			b[1+i] = r
+			_, err := DecodeInst(b)
+			if err == nil || !strings.Contains(err.Error(), field+" register") {
+				t.Errorf("%s = %d: error %v, want one naming %s", field, r, err, field)
+			}
+		}
 	}
 }
