@@ -152,7 +152,7 @@ func dump(name string, insts int64, maxSegs int, hash bool, disasm int, timeout 
 
 	var (
 		counter  core.Counter
-		lspu     = core.NewLSPU(hash)
+		lspu     = core.NewLSPU()
 		seg      *core.Segment
 		segCount int
 		eff      emu.Effect
@@ -190,9 +190,10 @@ func dump(name string, insts int64, maxSegs int, hash bool, disasm int, timeout 
 		pushed := 0
 		if entry, ok := core.EntryFromEffect(&eff); ok {
 			seg.Entries = append(seg.Entries, entry)
-			pushed = lspu.Append(entry)
+			size := entry.SizeBytes(hash)
+			pushed = lspu.Append(size)
 			seg.LogLines += pushed
-			seg.LogBytes += entry.SizeBytes(hash)
+			seg.LogBytes += size
 			kindCounts[entry.Kind]++
 		}
 		reason := counter.Tick(pushed)

@@ -21,6 +21,7 @@ type Builder struct {
 	name    string
 	insts   []isa.Inst
 	data    []byte
+	seg     *isa.Segment // a whole data segment given by Segment
 	entries []uint64
 
 	labels  map[string]int   // label -> pc
@@ -294,12 +295,6 @@ func (b *Builder) Bytes(p []byte) uint64 {
 // Reserve appends n zero bytes to the data segment and returns the offset.
 func (b *Builder) Reserve(n int) uint64 {
 	off := uint64(len(b.data))
-	if len(b.data) == 0 {
-		// Fresh memory arrives zeroed: the SPEC working sets (up to
-		// 64 MiB) are written once by their fill, not cleared first.
-		b.data = make([]byte, n)
-		return off
-	}
 	b.data = append(b.data, make([]byte, n)...)
 	return off
 }
@@ -319,9 +314,14 @@ func (b *Builder) SetFloat64(off uint64, v float64) *Builder {
 	return b.SetWord64(off, floatBits(v))
 }
 
-// DataSlice exposes the data segment from off for direct initialisation
-// of reserved regions.
-func (b *Builder) DataSlice(off uint64) []byte { return b.data[off:] }
+// Segment makes seg the program's whole data segment and returns its
+// offset, 0. It is for data too large to build as bytes, such as a
+// segment generated on first touch (isa.GeneratedSegment); Build fails
+// if the builder also has data of its own.
+func (b *Builder) Segment(seg *isa.Segment) uint64 {
+	b.seg = seg
+	return 0
+}
 
 // Align pads the data segment to a multiple of n bytes and returns the new
 // length.
@@ -361,6 +361,12 @@ func (b *Builder) Build() (*isa.Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	data := b.seg
+	if data == nil {
+		data = isa.NewSegment(b.data)
+	} else if len(b.data) > 0 {
+		return nil, fmt.Errorf("asm %q: data beside a Segment", b.name)
+	}
 	for label, pcs := range b.fixups {
 		tgt, ok := b.labels[label]
 		if !ok {
@@ -379,7 +385,7 @@ func (b *Builder) Build() (*isa.Program, error) {
 	p := &isa.Program{
 		Name:     b.name,
 		Insts:    b.insts,
-		Data:     b.data,
+		Data:     data,
 		DataBase: isa.DefaultDataBase,
 		Entries:  entries,
 	}

@@ -106,10 +106,11 @@ func TestDataSegmentHelpers(t *testing.T) {
 	if al%8 != 0 {
 		t.Errorf("align returned %d", al)
 	}
-	if p.Data[o3] != 1 || p.Data[o3+2] != 3 {
+	data := p.Data.Bytes()
+	if data[o3] != 1 || data[o3+2] != 3 {
 		t.Error("bytes not written")
 	}
-	if p.Data[o4] != 42 {
+	if data[o4] != 42 {
 		t.Error("SetWord64 not applied")
 	}
 
@@ -117,20 +118,21 @@ func TestDataSegmentHelpers(t *testing.T) {
 	// Reserve appends zeroes after what is already there.
 	e := New("reserve")
 	r1 := e.Reserve(4096)
-	e.DataSlice(r1)[0] = 7
+	e.SetWord64(r1, 7)
 	r2 := e.Reserve(24)
 	e.Halt()
 	q, err := e.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != 0 || r2 != 4096 || len(q.Data) != 4096+24 {
-		t.Fatalf("reserve offsets %d %d, data length %d", r1, r2, len(q.Data))
+	if r1 != 0 || r2 != 4096 || q.Data.Len() != 4096+24 {
+		t.Fatalf("reserve offsets %d %d, data length %d", r1, r2, q.Data.Len())
 	}
-	if q.Data[0] != 7 {
+	qd := q.Data.Bytes()
+	if qd[0] != 7 {
 		t.Error("first reservation lost its contents")
 	}
-	for i, v := range q.Data[1:] {
+	for i, v := range qd[1:] {
 		if v != 0 {
 			t.Fatalf("reserved byte %d is %d, want 0", i+1, v)
 		}
@@ -144,6 +146,27 @@ func TestSetWord64OutOfRangeFails(t *testing.T) {
 	b.Halt()
 	if _, err := b.Build(); err == nil {
 		t.Error("want out-of-range error")
+	}
+}
+
+// TestSegmentIsWholeData: a builder given a Segment builds a program
+// over exactly that segment, and fails when it also has data of its own.
+func TestSegmentIsWholeData(t *testing.T) {
+	seg := isa.NewSegment(make([]byte, 64))
+	b := New("seg")
+	if off := b.Segment(seg); off != 0 {
+		t.Errorf("segment offset %d, want 0", off)
+	}
+	b.Halt()
+	if p, err := b.Build(); err != nil || p.Data != seg {
+		t.Fatalf("Build = %v, %v; want the given segment", p, err)
+	}
+	c := New("seg+word")
+	c.Segment(seg)
+	c.Word64(1)
+	c.Halt()
+	if _, err := c.Build(); err == nil {
+		t.Error("want an error for data beside a Segment")
 	}
 }
 

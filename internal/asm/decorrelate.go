@@ -117,7 +117,7 @@ func Decorrelate(p *isa.Program, opts DecorrelateOptions) (*Variant, error) {
 			Name:  p.Name + "+dme",
 			Insts: insts,
 			// Programs are immutable, so the variant shares the
-			// original's data bytes; only their base address moves.
+			// original's data segment; only its base address moves.
 			Data:     p.Data,
 			DataBase: p.DataBase + shift,
 			Entries:  entries,

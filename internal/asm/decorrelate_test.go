@@ -116,7 +116,7 @@ func runPair(t *testing.T, p *isa.Program, limit int64) {
 			}
 		}
 	}
-	if !bytes.Equal(mo.Mem.ReadBytes(p.DataBase, len(p.Data)), mv.Mem.ReadBytes(v.Prog.DataBase, len(p.Data))) {
+	if !bytes.Equal(mo.Mem.ReadBytes(p.DataBase, p.Data.Len()), mv.Mem.ReadBytes(v.Prog.DataBase, p.Data.Len())) {
 		t.Errorf("%q: data segments diverged after run", p.Name)
 	}
 	for h := range mo.Harts {

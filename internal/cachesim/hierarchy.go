@@ -32,7 +32,7 @@ type AccessResult struct {
 
 // TotalCycles converts the result to core cycles at freqGHz.
 func (r AccessResult) TotalCycles(freqGHz float64) float64 {
-	return float64(r.Cycles) + r.BeyondNS*freqGHz
+	return float64(r.Cycles) + float64(r.BeyondNS*freqGHz)
 }
 
 // Data performs a data-side access.

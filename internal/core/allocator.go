@@ -136,7 +136,7 @@ func NewAllocator(checkers []*Checker) (*Allocator, error) {
 	}
 	for _, c := range checkers {
 		cfg := c.Core.Config()
-		c.sizeRank = float64(cfg.IssueWidth) * c.FreqGHz
+		c.sizeRank = float64(float64(cfg.IssueWidth) * c.FreqGHz)
 		if cfg.OoO {
 			c.sizeRank *= 2
 		}
@@ -254,7 +254,7 @@ func (a *Allocator) Quarantine(c *Checker, nowNS float64, pol QuarantinePolicy) 
 		backoff = 20 // cap the shift; beyond this the cool-down is effectively forever
 	}
 	c.State = CheckerQuarantined
-	c.ReentryNS = nowNS + pol.CooldownNS*float64(uint64(1)<<backoff)
+	c.ReentryNS = nowNS + float64(pol.CooldownNS*float64(uint64(1)<<backoff))
 	return false
 }
 

@@ -10,8 +10,6 @@ const LineBytes = 64
 // the current line are placed in the next line (no straddling), unless the
 // entry itself is larger than a line.
 type LSPU struct {
-	hashMode bool
-
 	lineFill int // bytes used in the current line
 
 	// PushedLines and PushedBytes count completed NoC pushes; Entries
@@ -22,12 +20,12 @@ type LSPU struct {
 }
 
 // NewLSPU returns an empty push unit.
-func NewLSPU(hashMode bool) *LSPU { return &LSPU{hashMode: hashMode} }
+func NewLSPU() *LSPU { return &LSPU{} }
 
-// Append accepts one entry, returning the number of complete lines pushed
-// to the NoC as a result (0, 1, or more for oversized entries).
-func (u *LSPU) Append(e Entry) int {
-	size := e.SizeBytes(u.hashMode)
+// Append accepts one entry of size bytes (its Entry.SizeBytes),
+// returning the number of complete lines pushed to the NoC as a result
+// (0, 1, or more for oversized entries).
+func (u *LSPU) Append(size int) int {
 	if size == 0 {
 		return 0 // hash-mode store: nothing crosses the NoC
 	}
@@ -75,5 +73,5 @@ func (u *LSPU) Pending() int { return u.lineFill }
 
 // Reset clears counters and buffer for a new run.
 func (u *LSPU) Reset() {
-	*u = LSPU{hashMode: u.hashMode}
+	*u = LSPU{}
 }

@@ -329,7 +329,7 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 		hart: hart,
 		main: mainCore,
 		pos:  s.layout.Main(idx % len(s.layout.MainPos)),
-		lspu: NewLSPU(s.cfg.HashMode),
+		lspu: NewLSPU(),
 		rcu:  NewRCU(s.cfg.HashMode),
 		// Pre-size the log buffers for a typical segment so early
 		// segments don't grow them incrementally.
@@ -718,9 +718,10 @@ func (s *System) accountEffect(l *lane, eff *emu.Effect, budget int64, resumeAtN
 		if entry, ok := EntryFromEffectArena(eff, &l.ops); ok {
 			//paralint:allow(arena append: entries/ops are pre-sized per segment)
 			l.entries = append(l.entries, entry)
-			pushed = l.lspu.Append(entry)
+			size := entry.SizeBytes(s.cfg.HashMode)
+			pushed = l.lspu.Append(size)
 			l.segLines += pushed
-			l.segBytes += entry.SizeBytes(s.cfg.HashMode)
+			l.segBytes += size
 			if s.cfg.HashMode {
 				for i := 0; i < eff.NMem; i++ {
 					m := eff.Mem[i]

@@ -233,7 +233,7 @@ func (c *Core) Stall(cycles float64) {
 	if c.nextFetch > base {
 		base = c.nextFetch
 	}
-	c.nextFetch = base + cycles
+	c.nextFetch = base + float64(cycles)
 	c.fetchSlots = 0
 	if c.cycles < c.nextFetch {
 		c.cycles = c.nextFetch

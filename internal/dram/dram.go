@@ -65,7 +65,7 @@ func (m *Model) AccessNS(addr uint64, utilisation float64) float64 {
 	if utilisation > 0 {
 		// Waiting time grows as rho/(1-rho) service times.
 		service := 64.0 / m.cfg.PeakGBs // ns to transfer one line
-		lat += utilisation / (1 - utilisation) * service
+		lat += float64(utilisation / (1 - utilisation) * service)
 	}
 	return lat
 }

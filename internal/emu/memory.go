@@ -26,21 +26,20 @@ type page [pageSize]byte
 // programs are interleaved deterministically on one goroutine.
 //
 // A NewProgramMemory memory overlays the program's data segment: pages
-// nothing has written are read in place from Data, which no memory ever
-// writes, so any number of memories may share one program.
+// nothing has written are read in place from the segment, which no
+// memory ever writes, so any number of memories may share one program.
 type Memory struct {
-	// base holds the segment's full pages; basePN is the page number of
-	// base[0]. seg has one slot per segment page: nil while the page is
-	// served from base, its private copy once written. A partial tail
-	// page is private from the start.
-	base   []byte
+	// data is the program's segment and basePN its first page number.
+	// seg has one slot per segment page: nil while the page is read from
+	// data, its private copy once written.
+	data   *isa.Segment
 	basePN uint64
 	seg    []*page
 	// pages holds the private pages outside the segment.
 	pages map[uint64]*page
 	// One-entry page cache: accesses are heavily page-local, so most
 	// loads and stores skip the lookup entirely. lastRO marks a cached
-	// base page, so the write path never writes Data through the cache.
+	// segment page, so the write path never writes it through the cache.
 	lastPN   uint64
 	lastPage *page
 	lastRO   bool
@@ -50,26 +49,20 @@ type Memory struct {
 func NewMemory() *Memory { return &Memory{} }
 
 // NewProgramMemory returns the initial memory of a valid program, its
-// data segment at DataBase, copying only a partial tail page.
+// data segment at DataBase. It copies nothing: segment pages are read
+// in place until written.
 func NewProgramMemory(prog *isa.Program) *Memory {
-	data := prog.Data
-	full := len(data) / pageSize
-	m := &Memory{
-		base:   data[:full*pageSize],
+	return &Memory{
+		data:   prog.Data,
 		basePN: prog.DataBase >> pageBits,
-		seg:    make([]*page, (len(data)+pageSize-1)/pageSize),
+		seg:    make([]*page, prog.Data.NumPages()),
 	}
-	if full < len(m.seg) {
-		m.seg[full] = new(page)
-		copy(m.seg[full][:], data[full*pageSize:])
-	}
-	return m
 }
 
-// Clone returns a memory with m's contents that shares its base pages
-// and copies its private ones.
+// Clone returns a memory with m's contents that shares its segment
+// and copies its private pages.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{base: m.base, basePN: m.basePN, seg: make([]*page, len(m.seg)),
+	c := &Memory{data: m.data, basePN: m.basePN, seg: make([]*page, len(m.seg)),
 		pages: make(map[uint64]*page, len(m.pages))}
 	for i, p := range m.seg {
 		if p != nil {
@@ -99,7 +92,7 @@ func (m *Memory) lookup(addr uint64) *page {
 		p := m.seg[i]
 		m.lastRO = p == nil
 		if p == nil {
-			p = (*page)(m.base[i<<pageBits:])
+			p = (*page)(m.data.Page(int(i)))
 		}
 		m.lastPN, m.lastPage = pn, p
 		return p
@@ -112,7 +105,7 @@ func (m *Memory) lookup(addr uint64) *page {
 }
 
 // pageForWrite returns a writable page for addr, creating it when
-// unmapped and copying it first when it is still a base page.
+// unmapped and copying it first when it is still a segment page.
 func (m *Memory) pageForWrite(addr uint64) *page {
 	pn := addr >> pageBits
 	if p := m.lastPage; p != nil && pn == m.lastPN && !m.lastRO {
@@ -122,7 +115,7 @@ func (m *Memory) pageForWrite(addr uint64) *page {
 	if i := pn - m.basePN; i < uint64(len(m.seg)) {
 		if p = m.seg[i]; p == nil {
 			p = new(page)
-			*p = *(*page)(m.base[i<<pageBits:])
+			*p = *m.data.Page(int(i))
 			m.seg[i] = p
 		}
 	} else if p = m.pages[pn]; p == nil {
@@ -223,8 +216,9 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	return out
 }
 
-// PagesMapped returns the number of resident 4KiB pages (every segment
-// page, written or not), for footprint assertions in tests.
+// PagesMapped returns the number of mapped 4KiB pages (every segment
+// page, written or not, built yet or not), for footprint assertions in
+// tests.
 func (m *Memory) PagesMapped() int { return len(m.seg) + len(m.pages) }
 
 func checkSize(size uint8) error {

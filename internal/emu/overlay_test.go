@@ -2,11 +2,15 @@ package emu
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"paraverser/internal/asm"
 	"paraverser/internal/isa"
+	"paraverser/internal/workload/spec"
 )
 
 // segProgram returns a program with dataLen bytes of data, every 8-byte
@@ -38,12 +42,23 @@ func segProgram(dataLen int) (*isa.Program, []uint64) {
 	return b.MustBuild(), offs
 }
 
+// segForms returns segProgram(dataLen) in both segment forms: as built,
+// its segment held as bytes, and with the same bytes generated chunk by
+// chunk on first touch.
+func segForms(dataLen int) ([]*isa.Program, []uint64) {
+	prog, offs := segProgram(dataLen)
+	data := prog.Data.Bytes()
+	gen := &isa.Program{Name: prog.Name + "+gen", Insts: prog.Insts, DataBase: prog.DataBase, Entries: prog.Entries,
+		Data: isa.GeneratedSegment(len(data), func(c int, dst []byte) { copy(dst, data[c*isa.ChunkBytes:]) })}
+	return []*isa.Program{prog, gen}, offs
+}
+
 // copiedMemory returns prog's initial memory with every data byte
 // stored into private pages, the reference an overlay must match.
 func copiedMemory(t *testing.T, prog *isa.Program) *Memory {
 	t.Helper()
 	m := NewMemory()
-	for i, b := range prog.Data {
+	for i, b := range prog.Data.Bytes() {
 		if err := m.Store(prog.DataBase+uint64(i), 1, uint64(b)); err != nil {
 			t.Fatal(err)
 		}
@@ -55,8 +70,14 @@ func copiedMemory(t *testing.T, prog *isa.Program) *Memory {
 // clones of them, never see each other's stores, and none of them
 // writes the program's Data.
 func TestMemorySnapshotWriteIsolation(t *testing.T) {
-	prog, offs := segProgram(3 * pageSize)
-	orig := append([]byte(nil), prog.Data...)
+	progs, offs := segForms(3 * pageSize)
+	for _, prog := range progs {
+		t.Run(prog.Name, func(t *testing.T) { testWriteIsolation(t, prog, offs) })
+	}
+}
+
+func testWriteIsolation(t *testing.T, prog *isa.Program, offs []uint64) {
+	orig := prog.Data.Bytes()
 	addr := prog.DataBase + offs[1]
 
 	a, b := NewProgramMemory(prog), NewProgramMemory(prog)
@@ -87,18 +108,24 @@ func TestMemorySnapshotWriteIsolation(t *testing.T) {
 	if got, _ := c.Load(prog.DataBase+offs[2], 8); got != offs[2]+1 {
 		t.Errorf("clone sees parent store: got %d, want %d", got, offs[2]+1)
 	}
-	if !bytes.Equal(prog.Data, orig) {
+	if !bytes.Equal(prog.Data.Bytes(), orig) {
 		t.Error("stores reached the program's Data")
 	}
 }
 
 // TestMemorySnapshotPageCacheCoherent: the one-entry page cache must not
-// hand the write path a base page it filled on a load.
+// hand the write path a segment page it filled on a load.
 func TestMemorySnapshotPageCacheCoherent(t *testing.T) {
-	prog, offs := segProgram(2 * pageSize)
+	progs, offs := segForms(2 * pageSize)
+	for _, prog := range progs {
+		testPageCacheCoherent(t, prog, offs)
+	}
+}
+
+func testPageCacheCoherent(t *testing.T, prog *isa.Program, offs []uint64) {
 	addr := prog.DataBase + offs[0]
 	for _, m := range []*Memory{NewProgramMemory(prog), NewProgramMemory(prog).Clone()} {
-		// Load caches the base page; the next store must still copy it
+		// Load caches the segment page; the next store must still copy it
 		// rather than trust the cached entry.
 		if got, _ := m.Load(addr, 8); got != offs[0]+1 {
 			t.Fatalf("initial load = %d, want %d", got, offs[0]+1)
@@ -129,7 +156,13 @@ func runToEnd(t *testing.T, m *Machine, prog *isa.Program) uint64 {
 // execute identically to one over a privately copied data segment, and
 // two machines over one program must not observe each other's stores.
 func TestMachineSharedMatchesPrivate(t *testing.T) {
-	prog, _ := segProgram(2*pageSize + 40)
+	progs, _ := segForms(2*pageSize + 40)
+	for _, prog := range progs {
+		t.Run(prog.Name, func(t *testing.T) { testSharedMatchesPrivate(t, prog) })
+	}
+}
+
+func testSharedMatchesPrivate(t *testing.T, prog *isa.Program) {
 	priv, err := NewMachine(prog, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -168,26 +201,34 @@ func TestMachineSharedMatchesPrivate(t *testing.T) {
 
 // TestMachineLeavesProgramDataUntouched: a run storing to every segment
 // page leaves prog.Data byte-equal to a copy taken before, for a
-// segment ending in a full page and one ending in a partial tail page.
+// segment ending in a full page, one ending in a partial tail page, and
+// one spanning two chunks.
 func TestMachineLeavesProgramDataUntouched(t *testing.T) {
-	for _, dataLen := range []int{3 * pageSize, 3*pageSize + 100} {
-		prog, offs := segProgram(dataLen)
-		orig := append([]byte(nil), prog.Data...)
-		m, err := NewMachine(prog, 1)
-		if err != nil {
-			t.Fatal(err)
+	for _, dataLen := range []int{3 * pageSize, 3*pageSize + 100, isa.ChunkBytes + 3*pageSize + 100} {
+		progs, offs := segForms(dataLen)
+		for _, prog := range progs {
+			testLeavesDataUntouched(t, prog, offs)
 		}
-		if _, err := m.Run(0, nil); err != nil {
-			t.Fatal(err)
+	}
+}
+
+func testLeavesDataUntouched(t *testing.T, prog *isa.Program, offs []uint64) {
+	dataLen := prog.Data.Len()
+	orig := prog.Data.Bytes()
+	m, err := NewMachine(prog, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range offs {
+		if got, _ := m.Mem.Load(prog.DataBase+off, 8); got != off+2 {
+			t.Errorf("len %d: word %#x = %d, want %d", dataLen, off, got, off+2)
 		}
-		for _, off := range offs {
-			if got, _ := m.Mem.Load(prog.DataBase+off, 8); got != off+2 {
-				t.Errorf("len %d: word %#x = %d, want %d", dataLen, off, got, off+2)
-			}
-		}
-		if !bytes.Equal(prog.Data, orig) {
-			t.Fatalf("len %d: run wrote the program's Data", dataLen)
-		}
+	}
+	if !bytes.Equal(prog.Data.Bytes(), orig) {
+		t.Fatalf("len %d: run wrote the program's Data", dataLen)
 	}
 }
 
@@ -217,11 +258,17 @@ func TestNewMachineSharesDataSegment(t *testing.T) {
 // resident, written or not, plus the pages written outside the segment,
 // with the same bytes as a fully copied memory.
 func TestMemoryPagesOverlay(t *testing.T) {
-	prog, offs := segProgram(3*pageSize + 100)
+	progs, offs := segForms(3*pageSize + 100)
+	for _, prog := range progs {
+		t.Run(prog.Name, func(t *testing.T) { testPagesOverlay(t, prog, offs) })
+	}
+}
+
+func testPagesOverlay(t *testing.T, prog *isa.Program, offs []uint64) {
 	over, ref := NewProgramMemory(prog), copiedMemory(t, prog)
 	stores := []uint64{
 		prog.DataBase - 5*pageSize,     // below the segment
-		prog.DataBase + offs[1],        // a base page
+		prog.DataBase + offs[1],        // a segment page
 		prog.DataBase + offs[3],        // the tail page
 		prog.DataBase + 64*pageSize,    // above the segment
 		prog.DataBase + 4*pageSize - 3, // straddles the tail into the next page
@@ -250,5 +297,45 @@ func TestMemoryZeroValue(t *testing.T) {
 	}
 	if m.PagesMapped() != 1 {
 		t.Errorf("pages mapped = %d, want 1", m.PagesMapped())
+	}
+}
+
+// TestGeneratedSegmentConcurrentFirstTouch: memories made at once from
+// many goroutines on one generated program, each loading from random
+// offsets before any chunk exists, all read the segment's bytes, which
+// stay what Bytes returns afterwards.
+func TestGeneratedSegmentConcurrentFirstTouch(t *testing.T) {
+	p, err := spec.ByName("leela") // a 4 MiB working set: 16 chunks
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := p.MustBuild(1 << 40)
+	const readers, reads = 8, 4000
+	offsets := func(r int) *rand.Rand { return rand.New(rand.NewSource(int64(r))) }
+	got := make([][]uint64, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			m, rng := NewProgramMemory(prog), offsets(r)
+			vals := make([]uint64, reads)
+			for i := range vals {
+				// Any byte offset: some loads straddle two pages.
+				vals[i], _ = m.Load(prog.DataBase+uint64(rng.Intn(prog.Data.Len()-7)), 8)
+			}
+			got[r] = vals
+		}(r)
+	}
+	wg.Wait()
+	want := prog.Data.Bytes()
+	for r, vals := range got {
+		rng := offsets(r)
+		for i, v := range vals {
+			off := rng.Intn(prog.Data.Len() - 7)
+			if w := binary.LittleEndian.Uint64(want[off:]); v != w {
+				t.Fatalf("reader %d load %d at +%#x = %#x, want %#x", r, i, off, v, w)
+			}
+		}
 	}
 }

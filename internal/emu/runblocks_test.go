@@ -117,7 +117,7 @@ func randProgram(seed int64, n int) *isa.Program {
 	return &isa.Program{
 		Name:     "rand-branchy",
 		Insts:    insts,
-		Data:     data,
+		Data:     isa.NewSegment(data),
 		DataBase: isa.DefaultDataBase,
 		Entries:  []uint64{0},
 	}

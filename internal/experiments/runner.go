@@ -12,7 +12,10 @@
 // (specRun). A program is built inside the pool slot of the first run
 // that needs it and is freed, together with every stream the SpecCache
 // recorded over it, as soon as no submitted run and no running study
-// names it. A submission that will execute holds its programs from
+// names it. Building one is cheap: its working set is generated chunk
+// by chunk as runs first touch it, so only the touched part is ever
+// resident, and a program built again after a drop regenerates only
+// what its next runs read. A submission that will execute holds its programs from
 // Submit until its simulation returns; a study that hands programs to
 // code outside Submit (Campaign, the divergent and strategies studies)
 // holds them for its whole duration. Figures submit all of one
@@ -25,8 +28,9 @@
 // DRAM model, per-lane cores and machines — per call, so concurrent
 // independent runs never share mutable state. The shared inputs are
 // read-only: *isa.Program (each machine's Memory reads the data segment
-// in place and copies a page only when a run writes it; instruction
-// slices are never written),
+// in place and copies a page only when a run writes it, and a generated
+// segment publishes each chunk it fills atomically; instruction slices
+// are never written),
 // cpu.Config values (FU maps are only read), and *noc.Layout (only
 // read). The fault campaign engine (internal/fault) established this
 // fan-out pattern; the engine here extends it to every experiment.
@@ -211,8 +215,8 @@ func (f *Future) Wait() (*core.Result, error) {
 
 // Submit schedules one simulation of ws under cfg and returns its
 // future. A workload with a nil Prog names a SPEC benchmark (specRun):
-// its program is built inside the run's pool slot, so first-time
-// working-set generation parallelises with other runs. A workload whose
+// its program is built inside the run's pool slot, so building it
+// parallelises with other runs. A workload whose
 // Prog is the engine's live program of that name (a study's, holdSpec)
 // is submitted by name too, so both forms share one cache key.
 // Cacheable submissions (no fault interceptor) are deduplicated

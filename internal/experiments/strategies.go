@@ -172,7 +172,7 @@ func strategyStudy(e *Engine, sc Scale, seed int64, trials int) (*StrategyResult
 	cfg := studyConfig(core.StrategyLockstep)
 	var poolMM2 float64
 	for _, spec := range cfg.Checkers {
-		poolMM2 += float64(spec.Count) * spec.CPU.AreaMM2
+		poolMM2 += float64(float64(spec.Count) * spec.CPU.AreaMM2)
 	}
 	out.AreaOverheadPct = poolMM2 / cfg.Main.AreaMM2 * 100
 

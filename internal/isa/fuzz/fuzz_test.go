@@ -14,7 +14,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 0xDEADBEEF} {
 		a := Generate(seed, 200).Program()
 		b := Generate(seed, 200).Program()
-		if fmt.Sprintf("%v%x", a.Insts, a.Data) != fmt.Sprintf("%v%x", b.Insts, b.Data) {
+		if fmt.Sprintf("%v%x", a.Insts, a.Data.Bytes()) != fmt.Sprintf("%v%x", b.Insts, b.Data.Bytes()) {
 			t.Fatalf("seed %#x: two generations differ", seed)
 		}
 	}
@@ -40,7 +40,7 @@ func TestScreenRejectsBrokenProgram(t *testing.T) {
 	p := &isa.Program{
 		Name:     "broken",
 		DataBase: isa.DefaultDataBase,
-		Data:     make([]byte, 8),
+		Data:     isa.NewSegment(make([]byte, 8)),
 		Entries:  []uint64{0},
 		Insts: []isa.Inst{
 			{Op: isa.OpLUI, Rd: 10, Imm: int64(isa.DefaultDataBase)},

@@ -138,7 +138,7 @@ func (t *Template) Emit(mask []bool) *isa.Program {
 	return &isa.Program{
 		Name:     fmt.Sprintf("fuzz-%016x", t.Seed),
 		Insts:    insts,
-		Data:     make([]byte, dataBytes),
+		Data:     isa.NewSegment(make([]byte, dataBytes)),
 		DataBase: isa.DefaultDataBase,
 		Entries:  []uint64{0},
 	}

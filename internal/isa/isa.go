@@ -208,11 +208,12 @@ type Inst struct {
 type Program struct {
 	Name  string
 	Insts []Inst
-	// Data maps a byte offset from the data-segment base (4KiB-aligned)
-	// to initial contents. Emulator memories serve it in place and copy
-	// a page only when a run writes it, so Data must not be mutated once
-	// a machine exists for the program or a variant sharing it.
-	Data     []byte
+	// Data holds the initial contents of the data segment, indexed by
+	// byte offset from DataBase (4KiB-aligned); nil means no data.
+	// Emulator memories read its pages in place and copy a page only
+	// when a run writes it, so any number of machines and variants share
+	// one segment.
+	Data     *Segment
 	DataBase uint64
 	// Entry points, one per hart. A single-threaded program has one.
 	Entries []uint64

@@ -81,6 +81,5 @@ func RolesOf(op Op) OperandRoles {
 // up to a 4KiB page plus one slack page, so one-past-the-end pointers
 // still translate with the segment.
 func DataSpan(p *Program) uint64 {
-	const page = 4096
-	return (uint64(len(p.Data))+page-1)&^uint64(page-1) + page
+	return uint64(p.Data.NumPages()+1) * PageSize
 }

@@ -56,7 +56,7 @@ func storeLoopProgram(elems, slack int64) *isa.Program {
 	return &isa.Program{
 		Name:     "store-loop",
 		Insts:    insts,
-		Data:     make([]byte, elems*8),
+		Data:     isa.NewSegment(make([]byte, elems*8)),
 		DataBase: base,
 		Entries:  []uint64{0},
 	}
@@ -153,7 +153,7 @@ func TestSpinLoopIsInfoNotWarn(t *testing.T) {
 			{Op: isa.OpBEQ, Rs1: r11, Rs2: isa.Zero, Imm: -1}, // back to the load
 			{Op: isa.OpHALT},
 		},
-		Data:     make([]byte, 8),
+		Data:     isa.NewSegment(make([]byte, 8)),
 		DataBase: isa.DefaultDataBase,
 		Entries:  []uint64{0},
 	}

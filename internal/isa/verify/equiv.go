@@ -94,7 +94,7 @@ func EquivalentVariant(orig, variant *isa.Program, m *VariantMap) error {
 		return fmt.Errorf("verify: variant data base %#x, want %#x",
 			variant.DataBase, orig.DataBase+m.DataShift)
 	}
-	if !bytes.Equal(variant.Data, orig.Data) {
+	if variant.Data != orig.Data && !bytes.Equal(variant.Data.Bytes(), orig.Data.Bytes()) {
 		return fmt.Errorf("verify: variant data segment differs from original")
 	}
 	if len(variant.Entries) != len(orig.Entries) {

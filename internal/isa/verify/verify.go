@@ -444,10 +444,10 @@ const boundsGuard = 4096
 // or far intervals (stack traffic, pointer arithmetic the domain
 // cannot pin down) are recorded as facts but not flagged.
 func checkStaticBounds(p *isa.Program, abs *absResult, r *Report) {
-	if len(p.Data) == 0 {
+	if p.Data.Len() == 0 {
 		return
 	}
-	lo, hi := int64(p.DataBase), int64(p.DataBase)+int64(len(p.Data))
+	lo, hi := int64(p.DataBase), int64(p.DataBase)+int64(p.Data.Len())
 	for pc := 0; pc < len(p.Insts); pc++ {
 		if !abs.in[pc].live || !r.Reachable[pc] {
 			continue

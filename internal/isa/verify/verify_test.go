@@ -341,7 +341,7 @@ func TestCalleeBoundCountsEveryCall(t *testing.T) {
 			p := &isa.Program{
 				Name:     tc.name,
 				Insts:    tc.insts,
-				Data:     make([]byte, 4096),
+				Data:     isa.NewSegment(make([]byte, 4096)),
 				DataBase: isa.DefaultDataBase,
 				Entries:  []uint64{0},
 			}

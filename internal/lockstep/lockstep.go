@@ -57,7 +57,7 @@ func AreaOverhead(cfg core.Config) float64 {
 	var mm2 float64
 	for _, spec := range cfg.Checkers {
 		if spec.CPU.Name == "A35" { // dedicated cores: added silicon
-			mm2 += float64(spec.Count) * spec.CPU.AreaMM2
+			mm2 += float64(float64(spec.Count) * spec.CPU.AreaMM2)
 		}
 	}
 	return mm2 / power.AreaX2MM2

@@ -172,7 +172,7 @@ func (m *Mesh) LatencyNS(from, to Coord, msgBytes int) float64 {
 	total := routerNS // ejection router
 	for _, l := range links {
 		rho := m.utilisation(l)
-		wait := rho / (1 - rho) * serviceNS
+		wait := float64(rho / (1 - rho) * serviceNS)
 		total += routerNS + serviceNS + wait
 	}
 	return total
@@ -186,7 +186,7 @@ func (m *Mesh) QueueingNS(from, to Coord, msgBytes int) float64 {
 	var total float64
 	for _, l := range m.route(from, to) {
 		rho := m.utilisation(l)
-		total += rho / (1 - rho) * serviceNS
+		total += float64(rho / (1 - rho) * serviceNS)
 	}
 	return total
 }

@@ -106,7 +106,7 @@ func (h *Hist) Quantile(q float64) uint64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := uint64(q * float64(h.N-1))
+	rank := uint64(float64(q * float64(h.N-1)))
 	var seen uint64
 	for i, c := range h.Counts {
 		seen += c

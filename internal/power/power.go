@@ -58,7 +58,7 @@ func (ce CoreEnergy) VoltageAt(fGHz float64) float64 {
 	if fGHz <= 0 {
 		return ce.VminV
 	}
-	return ce.VminV + (ce.VnomV-ce.VminV)*(fGHz/ce.FMaxGHz)
+	return ce.VminV + float64((ce.VnomV-ce.VminV)*(fGHz/ce.FMaxGHz))
 }
 
 // DynamicJ returns the dynamic energy of executing insts instructions at
@@ -78,7 +78,7 @@ func (ce CoreEnergy) StaticJ(busySec, fGHz float64) float64 {
 
 // TotalJ is DynamicJ + StaticJ.
 func (ce CoreEnergy) TotalJ(insts uint64, busySec, fGHz float64) float64 {
-	return ce.DynamicJ(insts, fGHz) + ce.StaticJ(busySec, fGHz)
+	return float64(ce.DynamicJ(insts, fGHz)) + float64(ce.StaticJ(busySec, fGHz))
 }
 
 // ED2P combines energy and delay as energy × delay².

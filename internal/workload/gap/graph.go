@@ -181,7 +181,7 @@ func RefPageRank(g *Graph, iters int) []float64 {
 			}
 		}
 		for v := 0; v < n; v++ {
-			score[v] = base + 0.85*next[v]
+			score[v] = base + float64(0.85*next[v])
 			next[v] = 0
 		}
 	}
@@ -301,7 +301,7 @@ func RefBC(g *Graph, src int) []float64 {
 		w := order[i]
 		for _, u := range g.Neighbors(int(w)) {
 			if dist[u] == dist[w]+1 {
-				delta[w] += sigma[w] / sigma[u] * (1 + delta[u])
+				delta[w] += float64(sigma[w] / sigma[u] * (1 + delta[u]))
 			}
 		}
 	}

@@ -159,7 +159,7 @@ func RefBlackscholes(n int) []float64 {
 	for i := range out {
 		s := 80 + float64(i%40)
 		h := float64(2)
-		t := s * kRecip
+		t := float64(s * kRecip)
 		u := t - h
 		t = t + h
 		t = sqrt64(t)
@@ -167,7 +167,7 @@ func RefBlackscholes(n int) []float64 {
 		t = abs64(u)
 		t = t + h
 		u = u / t
-		u = u*s + s
+		u = float64(u*s) + s
 		out[i] = u
 	}
 	return out

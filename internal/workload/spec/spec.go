@@ -13,7 +13,6 @@
 package spec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -156,6 +155,38 @@ const (
 // 2^31).
 const maxWorkingSet = 1 << 30
 
+// workingSet returns the program's wsLen-byte data segment, generated
+// on first touch: the working set in its first p.WorkingSet bytes, zero
+// after. It also returns the generator positioned after the fill's
+// draws.
+//
+// Word w of the set is rng.Intn(WorkingSet) &^ 7 of draw w: aligned
+// in-set offsets, so pointer chases stay inside the set. One pass steps
+// the generator over every word without storing any, saving its state
+// at each chunk start; a chunk is then rebuilt from its saved state the
+// first time a run reads it, byte for byte what a stored fill held.
+func (p Profile) workingSet(wsLen int) (*isa.Segment, *lfg) {
+	g := newLFG(seedFor(p.Name))
+	const perChunk = isa.ChunkBytes / 8
+	words := p.WorkingSet / 8
+	filled := (words + perChunk - 1) / perChunk
+	states := make([]uint64, filled*lfgLen)
+	for c := 0; c < filled; c++ {
+		g.save(states[c*lfgLen:])
+		g.next(min(perChunk, words-c*perChunk), nil, 0)
+	}
+	mask := uint64(p.WorkingSet-1) &^ 7
+	seg := isa.GeneratedSegment(wsLen, func(c int, dst []byte) {
+		if c >= filled {
+			return // the zero tail pad
+		}
+		var w lfg
+		w.restore(states[c*lfgLen:])
+		w.next(min(perChunk, words-c*perChunk), dst, mask)
+	})
+	return seg, g
+}
+
 // Build generates the benchmark program. iters is the number of block
 // executions; total instructions are roughly iters*(OpsPerBlock*~2+10).
 func (p Profile) Build(iters int64) (*isa.Program, error) {
@@ -165,30 +196,23 @@ func (p Profile) Build(iters int64) (*isa.Program, error) {
 	if p.Blocks < 1 || p.OpsPerBlock < 1 {
 		return nil, fmt.Errorf("spec %s: empty code shape", p.Name)
 	}
-	rng := rand.New(rand.NewSource(seedFor(p.Name)))
 	b := asm.New("spec." + p.Name)
 
-	// Data: working set initialised with aligned in-set offsets so
-	// pointer chases stay inside the set. Streaming profiles address at
-	// immediate offsets up to OpsPerBlock*8 past the walking pointer,
-	// which wraps to at most WorkingSet-8 — the tail pad keeps those
-	// accesses inside the declared segment (zero-filled, so results are
-	// unchanged; the wrap mask still covers exactly the working set).
+	// Data: the working set. Streaming profiles address at immediate
+	// offsets up to OpsPerBlock*8 past the walking pointer, which wraps
+	// to at most WorkingSet-8 — the tail pad keeps those accesses inside
+	// the declared segment (zero-filled, so results are unchanged; the
+	// wrap mask still covers exactly the working set).
 	pad := 0
 	if p.Streaming {
 		pad = (p.OpsPerBlock + 1) * 8
 	}
-	// Each word is rng.Intn(WorkingSet) &^ 7, computed as Intn does for
-	// a power of two below 2^31 (the top 31 bits of one Int63 draw,
-	// masked) and stored straight into the reserved slice. The rng ends
-	// in the same state, so the code generated below is unchanged;
-	// TestProfilesPinned holds every program to its recorded bytes.
-	ws := b.Reserve(p.WorkingSet + pad)
-	data := b.DataSlice(ws)[:p.WorkingSet]
-	mask := uint64(p.WorkingSet-1) &^ 7
-	for off := 0; off < len(data); off += 8 {
-		binary.LittleEndian.PutUint64(data[off:], uint64(rng.Int63()>>32)&mask)
-	}
+	// The code below draws from the same stream after the fill, exactly
+	// as from rand.NewSource(seedFor(p.Name)); TestProfilesPinned holds
+	// every program to its recorded bytes.
+	seg, g := p.workingSet(p.WorkingSet + pad)
+	ws := b.Segment(seg)
+	rng := rand.New(g)
 
 	// Prologue.
 	b.Li(rBase, int64(isa.DefaultDataBase+ws))

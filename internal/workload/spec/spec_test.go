@@ -54,7 +54,7 @@ func TestProfilesDeterministic(t *testing.T) {
 // instruction stream (each instruction's fields in declaration order).
 func programDigest(p *isa.Program) string {
 	h := sha256.New()
-	h.Write(p.Data)
+	h.Write(p.Data.Bytes())
 	var buf [13]byte
 	for _, in := range p.Insts {
 		buf[0], buf[1], buf[2], buf[3], buf[4] = byte(in.Op), byte(in.Rd), byte(in.Rs1), byte(in.Rs2), in.Size
