@@ -240,7 +240,7 @@ func run(args []string) int {
 	names := fs.Args()
 	concurrent := false
 	if len(names) == 1 && names[0] == "all" {
-		names = []string{"table1", "area", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "power", "opportunity", "ablation", "campaign", "divergent", "strategies"}
+		names = allExperiments
 		concurrent = true
 	}
 	camp := campaignOpts{seed: *seed, trials: *campaignTrials, fuzzSeeds: *fuzzSeeds, fuzzInsts: *fuzzInsts}
@@ -349,6 +349,9 @@ func runMetricsCmd(args []string) int {
 		segs, dropped[obs.CatSegment], want)
 	return 0
 }
+
+// allExperiments is what the "all" alias expands to, in output order.
+var allExperiments = []string{"table1", "area", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "power", "opportunity", "ablation", "campaign", "divergent", "strategies"}
 
 // campaignOpts carries the campaign and fuzz subcommands' knobs. Both
 // run at the -j worker bound.

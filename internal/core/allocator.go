@@ -77,16 +77,16 @@ type Checker struct {
 	// available").
 	sizeRank float64
 
-	// check is the record every segment check dispatched to this
-	// checker fills and runs (pipeline.go). pending points at it while
-	// a deferred-join check is unjoined; until then FreeAtNS and the
-	// Busy/Insts/Segments statistics are stale and must not be read.
-	// floorNS lower-bounds the pending check's final FreeAtNS, letting
-	// allocator queries skip a certainly-busy checker without joining
-	// it.
-	check   pendingCheck
-	pending *pendingCheck
-	floorNS float64
+	// Deferred-join state (pipeline.go). bb buffers the beyond-L2
+	// fetches of the checker's latest check; pending marks them not yet
+	// merged into the shared LLC, and pendingSeq is that check's segment
+	// number, the order forceAll merges in. floorNS lower-bounds the
+	// check's FreeAtNS, letting AcquireFree skip a certainly-busy
+	// checker without joining it.
+	bb         checkerBuffer
+	pending    bool
+	pendingSeq int
+	floorNS    float64
 
 	// scratch is the checker's reusable verification state, shared by
 	// its segment checks, recovery re-replays and forensic rounds, which
@@ -112,10 +112,10 @@ type Allocator struct {
 	checkers []*Checker
 	// rotate is the rotating-partner cursor for re-replay selection.
 	rotate int
-	// join, when non-nil, forces a checker's pending asynchronous check
-	// to completion and merges its buffered effects (pipeline.go). Pool
-	// queries call it lazily, which makes AcquireFree and EarliestFree
-	// the protocol-defined join points of the pipelined engine.
+	// join, when non-nil, merges a checker's buffered beyond-L2 fetches
+	// into the shared LLC (pipeline.go). Pool queries call it lazily,
+	// which makes AcquireFree and EarliestFree the protocol-defined join
+	// points of the deferred-join protocol.
 	join func(*Checker)
 	// probations counts quarantine→probation promotions for the run's
 	// metrics shard.
@@ -126,7 +126,7 @@ type Allocator struct {
 // probation over the run.
 func (a *Allocator) Probations() uint64 { return a.probations }
 
-// SetJoin installs the pipelined engine's join hook.
+// SetJoin installs the deferred-join protocol's join hook.
 func (a *Allocator) SetJoin(fn func(*Checker)) { a.join = fn }
 
 // NewAllocator builds a pool.
@@ -167,12 +167,12 @@ func (a *Allocator) AcquireFree(nowNS float64) *Checker {
 		if c.State != CheckerActive {
 			continue
 		}
-		if c.pending != nil {
-			// An asynchronous check still owns this checker. floorNS
-			// lower-bounds its final FreeAtNS: past nowNS the checker is
-			// certainly busy and the selection below would skip it
-			// anyway, so the overlap may continue; otherwise it might
-			// already be free, and the answer requires joining first.
+		if c.pending {
+			// The checker's last check has not merged its fetches.
+			// floorNS lower-bounds its FreeAtNS: past nowNS the checker
+			// is certainly busy and the selection below skips it, so the
+			// merge may wait; otherwise it might be chosen, and its
+			// fetches merge first.
 			if c.floorNS > nowNS {
 				continue
 			}
@@ -199,9 +199,7 @@ func (a *Allocator) EarliestFree() *Checker {
 		if c.State != CheckerActive {
 			continue
 		}
-		if c.pending != nil {
-			// The earliest completion time is unbounded until the
-			// pending check finishes: join unconditionally.
+		if c.pending {
 			a.join(c)
 		}
 		if best == nil || c.FreeAtNS < best.FreeAtNS {

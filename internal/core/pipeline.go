@@ -1,54 +1,52 @@
 package core
 
-// Segment checks: one dispatch, one record per checker, two ways to
-// settle.
+// Segment checks: one dispatch, one settle, and a deferred merge of the
+// checker's beyond-L2 fetches.
 //
 // System.dispatch is the only function that starts a segment check. It
-// fills the target checker's reusable pendingCheck record — NoC
-// transfer, check start time under EagerWake — and pendingCheck.run
-// executes the verification inline, on the run loop's own goroutine:
-// LSL$ fill, checker-core timing, the replay itself and the completion
-// floor. settle then applies the check's outcome: checker statistics,
-// latency and trace samples, and detection accounting. The two check
-// modes differ in exactly two places.
+// models the NoC transfer and the check's start time, runs the
+// verification inline on the run loop's own goroutine (runCheck: LSL$
+// fill, checker-core timing, the replay itself and the completion
+// floor), and settles the outcome at once: checker statistics, latency
+// and trace samples, and detection accounting. A checker's FreeAtNS is
+// therefore exact as soon as dispatch returns, on every run.
 //
-//   - Where the checker core's beyond-L2 hook points. A synchronous
-//     check's instruction fetches read and write the live LLC, DRAM
-//     model, mesh flow tracker and contention statistics (beyondFor).
-//     Under the deferred-join protocol they go through the record's
-//     buffer instead (beyondBuffered): each access is charged the mesh
-//     round trip plus the L3 hit latency snapshotted at dispatch under
-//     the mesh load current at that protocol point (snapshotBeyond),
-//     without consulting the LLC contents for a miss, and the LLC sees
-//     the access only at the join.
-//   - When the merge happens. A synchronous check settles at once,
-//     inside dispatch, and feeds recovery. A deferred-join check settles
-//     at joinCheck, which replays the buffered accesses first and then
-//     lands the SpecCache verdict and the log arenas.
+// What differs between runs is only when the shared LLC sees the
+// checker core's instruction fetches beyond its private L2. Checker
+// loads and stores never touch the memory hierarchy at all (the LSL$
+// serves them, section IV footnote 12), so those fetches are the only
+// shared state a check touches; the checkers' code working set sits
+// comfortably in their private L2, so such accesses all but vanish
+// after the first segments.
+//
+//   - A run without deferred joins points the checker core's
+//     beyond-L2 hook at the live LLC, DRAM model, mesh flow tracker and
+//     contention statistics (beyondFor).
+//   - A deferred-join run (System.pipelined) points it at the checker's
+//     buffer (beyondBuffered): each access is charged the mesh round
+//     trip plus the L3 hit latency snapshotted at dispatch under the
+//     mesh load current at that point (snapshotBeyond), without
+//     consulting the LLC contents for a miss, and the LLC, flow tracker
+//     and contention statistics see the access only at the join
+//     (joinCheck).
 //
 // Joins happen only at protocol-defined points of the run loop:
-// allocator pool queries (AcquireFree forces a pending checker only
-// when its completion floor says it might already be free;
-// EarliestFree forces unconditionally), the warmup snapshot, and final
-// collection. The protocol is not a concurrency device: it is the
-// checker's memory model. Checker loads and stores never touch the
-// memory hierarchy at all (the LSL$ serves them, section IV footnote
-// 12), so beyond-L2 traffic is instruction fetch only; the checkers'
-// code working set sits comfortably in their private L2, so such
-// accesses all but vanish after the first segments. The merge order at
-// joins still moves LLC occupancy and NoC load, so the published tables
-// depend on the protocol.
+// allocator pool queries (AcquireFree joins a checker only when its
+// completion floor says it might already be free; EarliestFree joins
+// unconditionally), the warmup snapshot, and final collection, where
+// forceAll joins in segment order. The merge order moves LLC occupancy
+// and NoC load, so the published tables depend on these points; that
+// is all they are kept for.
 //
-// Only fault-free lockstep runs defer joins (System.pipelined). Runs
-// with Recovery.Enabled or a CheckerInterceptor settle synchronously:
+// Only fault-free lockstep runs defer joins. Runs with
+// Recovery.Enabled or a CheckerInterceptor reach the live LLC at once:
 // re-replay, forensics and quarantine decisions consume a check's
 // verdict immediately and reshape the pool, and injectors carry per-run
 // mutable state. Divergent checking orders checks against the lane's
 // private memory image, and chunk replay and relaxed start dispatch
-// past segment close, so they settle synchronously too. A synchronous
-// run may still replay the main core's stream from the SpecCache
-// (spec.go); its checks then run for real, and only deferred-join
-// replays synthesise verdicts.
+// past segment close, so they do not defer either. A deferred-join
+// replay of the main core's stream from the SpecCache (spec.go)
+// synthesises clean verdicts; any other run verifies for real.
 
 import (
 	"math"
@@ -64,10 +62,10 @@ type beyondAccess struct {
 	write bool
 }
 
-// checkerBuffer captures a deferred-join check's beyond-L2 side
-// effects. The latency tables are snapshotted at dispatch; the access
-// list is replayed into the shared LLC, flow tracker and contention
-// statistics at the join.
+// checkerBuffer holds a deferred-join check's beyond-L2 accesses. The
+// latency tables are snapshotted at dispatch; the access list is
+// replayed into the shared LLC, flow tracker and contention statistics
+// at the join.
 type checkerBuffer struct {
 	// latNS[i] is the full beyond-L2 latency (mesh round trip + L3 hit)
 	// to LLC slice i under the mesh load at dispatch time; queueNS[i]
@@ -85,11 +83,11 @@ func (b *checkerBuffer) access(addr uint64, write bool) float64 {
 }
 
 // beyondBuffered is the checker core's beyond-L2 hook under the
-// deferred-join protocol: it routes through the checker's own check
-// record, whose buffer dispatch snapshots before the check can execute
-// a single instruction.
+// deferred-join protocol: it routes through the checker's buffer, whose
+// latency tables dispatch snapshots before the check can execute a
+// single instruction.
 func (c *Checker) beyondBuffered(addr uint64, write, fetch bool) float64 {
-	return c.check.bb.access(addr, write)
+	return c.bb.access(addr, write)
 }
 
 // snapshotBeyond fills bb's per-slice latency tables for a checker at
@@ -113,101 +111,59 @@ func (s *System) snapshotBeyond(pos noc.Coord, bb *checkerBuffer) {
 	bb.accs = bb.accs[:0]
 }
 
-// pendingCheck is one segment check: the inputs dispatch computed, the
-// outputs run produced, and — under the deferred-join protocol — the
-// buffered effects and log arenas the join merges. Each Checker embeds
-// one and reuses it for every check it runs, so its latency tables and
-// access list keep their capacity.
-type pendingCheck struct {
-	l   *lane
-	ck  *Checker
-	seg *Segment
-	// execAt is the lane's executed-instruction count at dispatch, so
-	// detection attribution at a (later) join records exactly what a
-	// synchronous check records.
-	execAt int64
-
-	startNS   float64
-	lineLatNS float64
-
-	// Deferred-join state. entries/ops back seg.Entries; the join
-	// returns them to the lane's spare-arena pool once the checker is
-	// done reading them. bb buffers the check's beyond-L2 accesses.
-	entries []Entry
-	ops     []MemRec
-	bb      checkerBuffer
-
-	// SpecCache state (spec.go). recInto, when non-nil, receives the
-	// verdict at the join, so a recording stream can prove itself clean
-	// before publication. specReplay marks a deferred-join replay-lane
-	// segment: the checker core re-walks the segment's effect sequence
-	// from specCur — the lane's cursor snapshot at segment entry
-	// (bit-equivalent to a live replay for every field the timing model
-	// reads) — and the verdict is synthesised clean instead of
-	// re-verified, which is sound because only clean streams are ever
-	// published.
-	specReplay bool
-	specCur    specCursor
-	recInto    *recSeg
-
-	// Outputs, written by run and applied by settle.
-	res    CheckResult
-	durNS  float64
-	doneNS float64
-}
-
-// run executes the verification itself on the checker core: the LSL$
-// fill, the replay feeding the core's timing model, and the completion
-// floor. It touches the checker's core, scratch and record; under the
-// deferred-join protocol the core's beyond-L2 accesses land in the
-// record's buffer, otherwise they reach the live LLC and mesh.
-func (p *pendingCheck) run(s *System) {
-	ck := p.ck
+// runCheck executes the verification of seg on checker ck, starting at
+// startNS: the LSL$ fill, the replay feeding the core's timing model,
+// and the completion floor. It returns the check's result, its duration
+// and its completion time.
+func (s *System) runCheck(l *lane, ck *Checker, seg *Segment, startNS, lineLatNS float64) (res CheckResult, durNS, doneNS float64) {
 	// The log lines land in the checker's repurposed L1D, evicting any
 	// resident data in place (fig. 3).
 	if s.cfg.DedicatedLSLBytes == 0 {
-		for i := 0; i < p.seg.LogLines; i++ {
+		for i := 0; i < seg.LogLines; i++ {
 			ck.Core.Hier.L1D.LogAppendLine()
 		}
 	}
-	ck.Core.AdvanceTo(p.startNS * ck.FreqGHz)
+	ck.Core.AdvanceTo(startNS * ck.FreqGHz)
 	c0 := ck.Core.Cycles()
 	switch {
-	case p.specReplay:
+	case s.pipelined && l.spec != nil && l.spec.mode == claimReplay:
 		// Replay mode: the stream was functionally verified clean when
 		// it was recorded, so only the checker-core timing needs
 		// computing — off the same reconstructed effect sequence the
-		// main core consumed, re-walked from the segment-entry cursor.
-		cu := p.specCur
+		// main core consumed, re-walked from the segment-entry cursor
+		// (bit-equivalent to a live replay for every field the timing
+		// model reads).
+		cu := l.spec.segCur
 		var eff emu.Effect
-		for n := uint64(0); n < p.seg.Insts; n++ {
+		for n := uint64(0); n < seg.Insts; n++ {
 			if !cu.next(&eff) {
 				break
 			}
 			ck.Core.Consume(&eff)
 		}
-		p.res = CheckResult{OK: true, Insts: p.seg.Insts}
-	case p.l.div != nil:
-		p.res = CheckSegmentDivergent(p.l.proc.plan, p.l.div.mem, p.seg, s.checkerIntc(p.l, ck), func(e *emu.Effect) {
+		res = CheckResult{OK: true, Insts: seg.Insts}
+	case l.div != nil:
+		res = CheckSegmentDivergent(l.proc.plan, l.div.mem, seg, s.checkerIntc(l, ck), func(e *emu.Effect) {
 			ck.Core.Consume(e)
 		})
 	default:
-		p.res = ck.scratch.CheckSegment(p.l.proc.w.Prog, p.seg, s.cfg.HashMode, s.checkerIntc(p.l, ck), func(e *emu.Effect) {
+		res = ck.scratch.CheckSegment(l.proc.w.Prog, seg, s.cfg.HashMode, s.checkerIntc(l, ck), func(e *emu.Effect) {
 			ck.Core.Consume(e)
 		})
 	}
-	p.durNS = (ck.Core.Cycles() - c0) / ck.FreqGHz
-	p.doneNS = p.startNS + p.durNS
+	durNS = (ck.Core.Cycles() - c0) / ck.FreqGHz
+	doneNS = startNS + durNS
 	if s.cfg.EagerWake {
 		// The check cannot finish before the final line and end
 		// checkpoint arrive.
-		if floor := p.seg.EndNS + p.lineLatNS; p.doneNS < floor {
-			p.doneNS = floor
+		if floor := seg.EndNS + lineLatNS; doneNS < floor {
+			doneNS = floor
 		}
 	}
 	// The LSL$ lines are freed at checkpoint end (section IV-F
 	// footnote 12).
 	ck.Core.Hier.L1D.LogReset()
+	return res, durNS, doneNS
 }
 
 // checkerIntc returns checker ck's fault injector for lane l, or nil.
@@ -219,11 +175,11 @@ func (s *System) checkerIntc(l *lane, ck *Checker) emu.Interceptor {
 }
 
 // dispatch verifies seg on checker ck. It models the NoC transfer,
-// computes the check's start time, runs the check at once, and either
-// settles it (synchronous runs, which then feed recovery) or leaves its
-// shared-state effects buffered until joinCheck (deferred joins).
+// computes the check's start time, runs the check and settles it at
+// once. A synchronous run then feeds recovery; a deferred-join run
+// leaves only the check's beyond-L2 fetches buffered until joinCheck.
 func (s *System) dispatch(l *lane, ck *Checker, seg *Segment) {
-	if ck.pending != nil {
+	if ck.pending {
 		panic("core: dispatch onto a checker with an unjoined check")
 	}
 	s.metrics.CheckQueueDepth.Observe(s.queueDepth(l, seg))
@@ -239,70 +195,44 @@ func (s *System) dispatch(l *lane, ck *Checker, seg *Segment) {
 	if s.cfg.EagerWake {
 		// The checker starts as soon as the first line lands
 		// (section IV-H); it cannot run past pushed lines, which shows
-		// up as the completion floor in run.
+		// up as the completion floor in runCheck.
 		startNS = math.Max(seg.StartNS+lineLatNS, ck.FreeAtNS)
 	} else {
 		startNS = math.Max(seg.EndNS+lineLatNS, ck.FreeAtNS)
 	}
 
-	p := &ck.check
-	*p = pendingCheck{
-		l: l, ck: ck, seg: seg, execAt: l.executed,
-		startNS: startNS, lineLatNS: lineLatNS,
-		bb: p.bb,
+	if s.pipelined {
+		s.snapshotBeyond(ck.Pos, &ck.bb)
+		ck.pending = true
+		ck.pendingSeq = seg.Seq
+		// doneNS >= startNS always, and under eager wake the explicit
+		// completion floor also applies: together a lower bound on the
+		// checker's FreeAtNS that holds under either wake policy.
+		ck.floorNS = math.Max(startNS, seg.EndNS+lineLatNS)
 	}
+	res, durNS, doneNS := s.runCheck(l, ck, seg, startNS, lineLatNS)
+	s.settle(l, ck, seg, &res, startNS, durNS, doneNS)
 
-	if !s.pipelined {
-		p.run(s)
-		s.settle(p)
-		if s.recovering() {
-			s.observe(l, ck, seg.Insts, p.res.Detected())
-			if p.res.Detected() {
-				s.recover(l, ck, seg, p.doneNS)
-			} else {
-				// The segment is verified clean: retain it as probation
-				// material and let probation checkers shadow-check it.
-				s.retainProbationSeg(l, seg)
-				s.shadowCheck(l, seg, p.doneNS)
-			}
+	if s.recovering() {
+		s.observe(l, ck, seg.Insts, res.Detected())
+		if res.Detected() {
+			s.recover(l, ck, seg, doneNS)
+		} else {
+			// The segment is verified clean: retain it as probation
+			// material and let probation checkers shadow-check it.
+			s.retainProbationSeg(l, seg)
+			s.shadowCheck(l, seg, doneNS)
 		}
-		return
 	}
-
-	if sp := l.spec; sp != nil && sp.mode == claimReplay {
-		p.specReplay = true
-		p.specCur = sp.segCur
-	} else if sp != nil {
-		// A recording lane sealed this segment just before dispatch.
-		p.recInto = sp.segs[len(sp.segs)-1]
-	}
-	s.snapshotBeyond(ck.Pos, &p.bb)
-	ck.pending = p
-	// doneNS >= startNS always, and under eager wake the explicit
-	// completion floor also applies: together a sound lower bound on
-	// the checker's final FreeAtNS.
-	ck.floorNS = math.Max(startNS, seg.EndNS+lineLatNS)
-	// The check owns the lane's log arenas until its join; hand the
-	// lane a replacement so the next segment cannot scribble over a log
-	// the checker is still reading.
-	p.entries, p.ops = l.entries, l.ops
-	l.takeArena()
-	p.run(s)
 }
 
 // queueDepth counts the checks on l's pool not finished when seg's
 // checkpoint closes, the one about to be dispatched included: the
-// checker backlog the main core has built up. Every check's completion
-// time is known once it has run, joined or not, so the count reads the
-// same on both settle paths.
+// checker backlog the main core has built up.
 func (s *System) queueDepth(l *lane, seg *Segment) uint64 {
 	depth := uint64(1)
 	for _, c := range l.alloc.Checkers() {
-		done := c.FreeAtNS
-		if c.pending != nil {
-			done = c.pending.doneNS
-		}
-		if done > seg.EndNS {
+		if c.FreeAtNS > seg.EndNS {
 			depth++
 		}
 	}
@@ -312,76 +242,66 @@ func (s *System) queueDepth(l *lane, seg *Segment) uint64 {
 // settle applies a finished check's outcome: the checker's availability
 // and energy statistics, the latency and trace samples, the divergent
 // counters, and detection accounting.
-func (s *System) settle(p *pendingCheck) {
-	l, ck := p.l, p.ck
-	ck.FreeAtNS = p.doneNS
+func (s *System) settle(l *lane, ck *Checker, seg *Segment, res *CheckResult, startNS, durNS, doneNS float64) {
+	ck.FreeAtNS = doneNS
 	// Energy accrues only while computing; a checker that outpaces the
 	// arriving log lines sleeps (section IV-H) and is treated as gated.
-	ck.BusyNS += p.durNS
-	ck.Insts += p.res.Insts
+	ck.BusyNS += durNS
+	ck.Insts += res.Insts
 	ck.Segments++
 
-	s.metrics.CheckLatencyNS.Observe(uint64(p.durNS + 0.5))
-	s.traceCheck(l, ck, p.seg, p.startNS, p.durNS)
+	s.metrics.CheckLatencyNS.Observe(uint64(durNS + 0.5))
+	s.traceCheck(l, ck, seg, startNS, durNS)
 
 	if l.div != nil {
 		s.metrics.SegmentsCheckedDivergent++
-		for _, m := range p.res.Mismatches {
+		for _, m := range res.Mismatches {
 			if m.Kind == MismatchLoadData {
 				s.metrics.DivergentDataMismatches++
 			}
 		}
 	}
-	if p.res.Detected() {
+	if res.Detected() {
 		s.metrics.SegmentsMismatched++
 		l.res.Detections++
 		if l.res.FirstDetectionInst < 0 {
-			l.res.FirstDetectionInst = p.execAt
+			l.res.FirstDetectionInst = l.executed
 		}
 		if room := sampleMismatchCap - len(l.res.SampleMismatches); room > 0 {
-			mm := p.res.Mismatches
+			mm := res.Mismatches
 			if len(mm) > room {
 				mm = mm[:room]
 			}
 			l.res.SampleMismatches = append(l.res.SampleMismatches, mm...)
 		}
+		if sp := l.spec; sp != nil && sp.mode == claimRecord {
+			// A stream whose check detected must not be published:
+			// replays synthesise clean verdicts (publishSpec).
+			sp.dirty = true
+		}
 	}
 }
 
-// joinCheck merges ck's deferred check into the shared simulator state.
-// Callers reach it only through protocol-defined join points, so the
-// merge sequence is a function of the run loop alone.
+// joinCheck merges ck's buffered beyond-L2 accesses into the shared
+// LLC, flow tracker and contention statistics. Callers reach it only
+// through protocol-defined join points, so the merge sequence is a
+// function of the run loop alone.
 func (s *System) joinCheck(ck *Checker) {
-	p := ck.pending
-	if p == nil {
+	if !ck.pending {
 		return
 	}
-	ck.pending = nil
-
-	// Replay the buffered beyond-L2 accesses against the shared LLC,
-	// flow tracker and contention statistics.
+	ck.pending = false
 	routes := s.routesFrom(ck.Pos)
 	nslice := uint64(len(routes.slices))
-	for _, a := range p.bb.accs {
+	for _, a := range ck.bb.accs {
 		i := (a.addr / 64) % nslice
 		r := &routes.slices[i]
 		s.flows.bytes[r.req] += 16
 		s.flows.bytes[r.resp] += LineBytes + 8
-		s.llcExtraSum += p.bb.queueNS[i]
+		s.llcExtraSum += ck.bb.queueNS[i]
 		s.llcExtraN++
 		s.l3.Access(a.addr, a.write)
 	}
-	s.settle(p)
-
-	// A recording stream keeps the verdict alongside the segment so a
-	// later replay can reuse it without re-running the functional check.
-	if p.recInto != nil {
-		p.recInto.verdict = p.res
-	}
-	// Return the log arenas to the lane for reuse.
-	l := p.l
-	l.spareEntries = append(l.spareEntries, p.entries)
-	l.spareOps = append(l.spareOps, p.ops)
 }
 
 // forceAll joins every pending check on l's pool in segment order, so
@@ -393,28 +313,14 @@ func (s *System) forceAll(l *lane) {
 	}
 	var pend []*Checker
 	for _, ck := range l.alloc.Checkers() {
-		if ck.pending != nil {
+		if ck.pending {
 			pend = append(pend, ck)
 		}
 	}
 	sort.Slice(pend, func(i, j int) bool {
-		return pend[i].pending.seg.Seq < pend[j].pending.seg.Seq
+		return pend[i].pendingSeq < pend[j].pendingSeq
 	})
 	for _, ck := range pend {
 		s.joinCheck(ck)
 	}
-}
-
-// takeArena replaces the lane's log buffers after their ownership moved
-// to a pending check, recycling arenas returned by earlier joins.
-func (l *lane) takeArena() {
-	if n := len(l.spareEntries); n > 0 {
-		l.entries = l.spareEntries[n-1][:0]
-		l.ops = l.spareOps[n-1][:0]
-		l.spareEntries = l.spareEntries[:n-1]
-		l.spareOps = l.spareOps[:n-1]
-		return
-	}
-	l.entries = make([]Entry, 0, 1024)
-	l.ops = make([]MemRec, 0, 1024)
 }

@@ -37,15 +37,14 @@ package core
 //
 // Because the replay lane's state is exact, its segments carry the
 // real Start/End checkpoints, and a checker can verify them for real.
-// The two ways a check settles (pipeline.go) use that differently. A
-// deferred-join (fault-free lockstep) replay synthesises clean
-// verdicts: a checked recording is published only once every segment's
-// checker verdict has landed clean (pendingCheck.recInto). A synchronous lockstep replay — a run with a
-// checker-side fault injector or the recovery pipeline — verifies every
-// segment with CheckSegment under the checker's injector, exactly as a
-// live run would, and never records: a checker fault cannot change the
-// main core's stream, so the trial only takes its main-side effects
-// from the recording.
+// A deferred-join (fault-free lockstep, pipeline.go) replay synthesises
+// clean verdicts instead: a checked recording is published only if no
+// check of the recording run detected (laneSpec.dirty). A lockstep
+// replay with a checker-side fault injector or the recovery pipeline
+// verifies every segment with CheckSegment under the checker's
+// injector, exactly as a live run would, and never records: a checker
+// fault cannot change the main core's stream, so the trial only takes
+// its main-side effects from the recording.
 //
 // Safety: every recorded segment carries its entry architectural state,
 // and a replay enters a segment only if its reconstructed state equals
@@ -129,10 +128,6 @@ type recSeg struct {
 	targets []uint32
 	vals    []uint64
 	ops     []MemRec
-	// verdict is the checker outcome recorded at join time. Publication
-	// requires every verdict clean, which is what lets pipelined replay
-	// runs synthesise clean verdicts instead of re-verifying.
-	verdict CheckResult
 }
 
 // memBytes is the segment's retained size: its header plus the four
@@ -362,21 +357,24 @@ func (c *SpecCache) publishMicro(st *recStream, geom string, tr *cpu.MicroTrace)
 
 // laneSpec is one lane's SpecCache state for the current run.
 type laneSpec struct {
-	mode    int // claimRecord or claimReplay
-	key     streamKey
-	stream  *recStream
-	checked bool
+	mode   int // claimRecord or claimReplay
+	key    streamKey
+	stream *recStream
+	// dirty marks a recording whose run detected a mismatch in some
+	// check: it is released rather than published (publishSpec).
+	dirty bool
 	// sawEnd marks that the whole stream ran through the lane, so
 	// collection may publish what was recorded over it.
 	sawEnd bool
 
 	// Replay state: cur walks the recorded stream in place of the
 	// emulator (specNext); segCur is cur's value at the current
-	// segment's start, snapshotted so a pending check can re-walk
-	// exactly the effects the segment consumed. state is the lane's
-	// architectural state, advanced by every replayed effect: it stands
-	// in for the never-stepped hart's, supplies the segments' Start/End
-	// checkpoints, and must equal every recorded segment's entry state.
+	// segment's start, snapshotted so a deferred-join check can re-walk
+	// exactly the effects the segment consumed (runCheck). state is the
+	// lane's architectural state, advanced by every replayed effect: it
+	// stands in for the never-stepped hart's, supplies the segments'
+	// Start/End checkpoints, and must equal every recorded segment's
+	// entry state.
 	cur       specCursor
 	segCur    specCursor
 	state     emu.ArchState
@@ -465,10 +463,9 @@ func (sp *laneSpec) seal(start emu.ArchState) {
 // multi-hart processes interleave through shared memory under timing
 // control: those lanes run live. Checker-side faults and the recovery
 // pipeline cannot change the main's stream — checkers replay its log —
-// so a lockstep lane with either replays too, settling its checks
-// synchronously, where every segment, re-replay, forensic round and
-// probation shadow check runs CheckSegment for real under the checker's
-// injector. The other non-pipelined strategies (chunk replay, relaxed
+// so a lockstep lane with either replays too, without deferred joins:
+// every segment, re-replay, forensic round and probation shadow check
+// runs CheckSegment for real under the checker's injector. The other non-pipelined strategies (chunk replay, relaxed
 // start) run live. Boundary shape does NOT matter for replay — the
 // live runSegment loop re-cuts boundaries over the cursor, so
 // opportunistic mode, sampling and non-uniform pool capacities all
@@ -516,7 +513,7 @@ func (s *System) initSpec() {
 		if mode == claimNone {
 			continue
 		}
-		sp := &laneSpec{mode: mode, key: key, stream: st, checked: s.checking()}
+		sp := &laneSpec{mode: mode, key: key, stream: st}
 		if mode == claimReplay {
 			sp.cur = specCursor{dec: l.proc.w.Prog.Decoded(), segs: st.segs}
 			sp.state = l.proc.mach.Harts[l.hart].State
@@ -577,14 +574,13 @@ func (s *System) abortSpec() {
 	}
 }
 
-// publishSpec publishes completed recordings at collection time, after
-// every pending check has joined (verdicts are recorded at joins). A
-// checked recording is published only if every verdict came back clean:
-// pipelined replay runs synthesise clean verdicts instead of
-// re-verifying, which is sound precisely because unclean streams never
-// enter the cache. Only pipelined runs record, and those carry no
-// injector, so a dirty verdict here means a simulator defect — degrade
-// to live runs.
+// publishSpec publishes completed recordings at collection time. A
+// recording is released instead if a check of its run detected
+// (laneSpec.dirty): deferred-join replay runs synthesise clean verdicts
+// instead of re-verifying, which is sound precisely because unclean
+// streams never enter the cache. Only deferred-join runs record while
+// checking, and those carry no injector, so a dirty recording means a
+// simulator defect — degrade to live runs.
 func (s *System) publishSpec() {
 	c := s.cfg.Spec
 	for _, l := range s.lanes {
@@ -593,19 +589,10 @@ func (s *System) publishSpec() {
 			continue
 		}
 		if sp.mode == claimRecord {
-			clean := true
-			if sp.checked {
-				for _, rs := range sp.segs {
-					if rs.verdict.Detected() {
-						clean = false
-						break
-					}
-				}
-			}
-			if clean {
-				c.publishStream(sp.key, sp.segs, sp.end)
-			} else {
+			if sp.dirty {
 				c.releaseStream(sp.key)
+			} else {
+				c.publishStream(sp.key, sp.segs, sp.end)
 			}
 		}
 		if sp.microRec != nil {
@@ -705,9 +692,9 @@ func (it *effIter) next(eff *emu.Effect) bool {
 // recorded-segment joints transparently — the replay run's own segment
 // boundaries are cut by the live runSegment loop, independent of where
 // the recording run happened to cut its checkpoints. A plain value
-// copy snapshots a position: a pending check re-walks its segment's
-// effects from such a snapshot, hook-free (recorded segments are
-// immutable once published).
+// copy snapshots a position: a deferred-join check re-walks its
+// segment's effects from such a snapshot, hook-free (recorded segments
+// are immutable once published).
 type specCursor struct {
 	dec  []isa.DecInst
 	segs []*recSeg

@@ -740,3 +740,42 @@ func TestDropProgram(t *testing.T) {
 		t.Error("a run of the dropped program did not record its stream afresh")
 	}
 }
+
+// TestSpecDirtyRecordingNotPublished holds the publication rule of
+// deferred-join recordings: replays synthesise clean verdicts, so a
+// stream whose recording run detected a mismatch must never be
+// published. No public configuration records under a checker fault, so
+// the fault is attached after NewSystem chose the deferred-join
+// protocol; a clean run of the same key must then record.
+func TestSpecDirtyRecordingNotPublished(t *testing.T) {
+	w := Workload{Name: "mixed", Prog: mixedProgram(12000)}
+	cache := NewSpecCache()
+	cfg := DefaultConfig(a510Checkers(4, 2.0))
+	cfg.Spec = cache
+	s, err := NewSystem(cfg, []Workload{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.pipelined {
+		t.Fatal("full-coverage lockstep run does not defer joins")
+	}
+	s.cfg.CheckerInterceptor = func(_, _ int) emu.Interceptor {
+		return &stuckBitInterceptor{class: isa.ClassIntALU, bit: 9}
+	}
+	res, err := s.Run()
+	s.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lanes[0].Detections == 0 {
+		t.Fatal("checker fault raised no detections")
+	}
+	if n, rec := cache.Streams(), cache.Stats().StreamsRecorded; n != 0 || rec != 0 {
+		t.Fatalf("dirty recording published: %d streams held, %d recorded", n, rec)
+	}
+
+	runSpec(t, cfg, []Workload{w})
+	if rec := cache.Stats().StreamsRecorded; rec != 1 {
+		t.Errorf("clean run recorded %d streams, want 1", rec)
+	}
+}

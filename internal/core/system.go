@@ -37,10 +37,9 @@ type System struct {
 	// pipeline (nil when recovery is disabled).
 	tracker *maintenance.Tracker
 
-	// pipelined selects the deferred-join dispatch protocol
-	// (pipeline.go): a check runs at its dispatch point against
-	// dispatch-time snapshots of the shared state, and its shared-state
-	// effects merge at protocol-defined join points.
+	// pipelined selects the deferred-join protocol (pipeline.go): a
+	// check's beyond-L2 fetches are charged dispatch-time latencies and
+	// merge into the shared LLC at protocol-defined join points.
 	pipelined bool
 
 	llcExtraSum float64
@@ -80,20 +79,15 @@ type lane struct {
 	// segments: ops is the arena backing every entry's Ops records
 	// (EntryFromEffectArena), truncated together with entries at each
 	// checkpoint, so steady-state logging allocates nothing.
-	segStart emu.ArchState
-	segSeq   int
-	entries  []Entry
-	ops      []MemRec
-	// spareEntries/spareOps recycle log arenas through pending checks
-	// under the deferred-join protocol: dispatch hands the live arena to
-	// the check and takes a spare, the join returns it (pipeline.go).
-	spareEntries [][]Entry
-	spareOps     [][]MemRec
-	segInsts     uint64
-	segBytes     int
-	segLines     int
-	segChecked   bool
-	sinceIRQ     uint64
+	segStart   emu.ArchState
+	segSeq     int
+	entries    []Entry
+	ops        []MemRec
+	segInsts   uint64
+	segBytes   int
+	segLines   int
+	segChecked bool
+	sinceIRQ   uint64
 
 	executed int64
 	res      LaneResult
@@ -268,7 +262,7 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 	}
 	// Recovery consumes check verdicts immediately (re-replay,
 	// quarantine) and interceptors carry per-run mutable state; both
-	// settle checks synchronously. So does every non-lockstep strategy:
+	// reach the live LLC at once. So does every non-lockstep strategy:
 	// divergent orders checks against its private memory image, chunk
 	// replay and relaxed start dispatch past segment close.
 	s.pipelined = len(cfg.Checkers) > 0 && !cfg.Recovery.Enabled &&
@@ -364,7 +358,7 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 				}
 				if s.pipelined {
 					// Deferred joins: beyond-L2 accesses go through the
-					// pending check's buffer instead of the shared
+					// checker's buffer instead of the shared
 					// LLC/DRAM/mesh.
 					ckCore.Hier.Beyond = ck.beyondBuffered
 				} else {
@@ -513,8 +507,8 @@ func (s *System) runSegment(l *lane) error {
 	}
 	l.beginSegment(state, capacityLines, s.cfg.TimeoutInsts)
 	if replay {
-		// Snapshot the cursor at segment entry so the pending check can
-		// re-walk exactly this segment's effects (pipeline.go).
+		// Snapshot the cursor at segment entry so the segment's check can
+		// re-walk exactly its effects (pipeline.go).
 		sp.segCur = sp.cur
 	}
 	startNS := l.main.TimeNS()
@@ -544,8 +538,6 @@ func (s *System) runSegment(l *lane) error {
 	}
 
 	if rec {
-		// Seal the segment's recording before dispatch: the pending
-		// check lands its verdict in it at the join.
 		sp.seal(l.segStart)
 	}
 	if sp != nil && reason == BoundaryHalt {
@@ -646,8 +638,8 @@ func (s *System) maybeSnapshotWarm(l *lane) {
 		return
 	}
 	// Checker statistics for segments dispatched during warmup belong to
-	// the warmup window: flush any pending replay chunk and join any
-	// pending checks before snapshotting.
+	// the warmup window: flush any pending replay chunk before
+	// snapshotting. The boundary is also a join point (pipeline.go).
 	s.flushChunk(l)
 	s.forceAll(l)
 	l.warmed = true
@@ -783,13 +775,11 @@ func (s *System) finishLane(l *lane) {
 }
 
 func (s *System) collect() *Result {
-	// Join every outstanding check before reading any statistic it may
-	// still be buffering (checker stats, LLC contention samples).
+	// Merge every check's buffered fetches before reading the LLC
+	// contention samples.
 	for _, l := range s.lanes {
 		s.forceAll(l)
 	}
-	// Joins also record the verdicts a recorded stream replays, so
-	// publication must follow the join sweep.
 	if s.cfg.Spec != nil {
 		s.publishSpec()
 	}
@@ -908,7 +898,7 @@ func Run(cfg Config, workloads []Workload) (*Result, error) {
 
 // release hands every core (cpu.Core.Release) and the LLC back for reuse
 // by a later NewSystem. Run calls it once s.Run has returned: every
-// check has been joined (or, after an error, the system is discarded),
+// check has merged (or, after an error, the system is discarded),
 // and the Result holds no cache or predictor, so nothing reads them again.
 func (s *System) release() {
 	for _, l := range s.lanes {

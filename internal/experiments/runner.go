@@ -68,13 +68,10 @@ type Engine struct {
 
 	mu    sync.Mutex
 	cache map[runKey]*runCall
-	// uncached holds the calls that bypass the cache (fault-injection
-	// runs), so Gather can still merge their metric shards.
-	uncached []*runCall
-	// external holds shards recorded from simulations that bypassed the
-	// engine entirely (the fault campaign drives fault.RunCampaign
-	// directly), so the metrics export covers the whole suite.
-	external []*obs.RunMetrics
+	// metrics aggregates the shard of every executed run as it finishes
+	// and every shard recorded from simulations that bypassed the engine
+	// (RecordMetrics), so the metrics export covers the whole suite.
+	metrics *obs.RunMetrics
 
 	runs   atomic.Int64 // simulations actually executed
 	hits   atomic.Int64 // submissions served by cache or singleflight
@@ -91,10 +88,11 @@ func NewEngine(workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		sem:   make(chan struct{}, workers),
-		cache: make(map[runKey]*runCall),
-		spec:  core.NewSpecCache(),
-		progs: make(map[string]*progEntry),
+		sem:     make(chan struct{}, workers),
+		cache:   make(map[runKey]*runCall),
+		metrics: obs.NewRunMetrics(),
+		spec:    core.NewSpecCache(),
+		progs:   make(map[string]*progEntry),
 	}
 }
 
@@ -131,45 +129,24 @@ func (e *Engine) ProgressStats() obs.ProgressStats {
 	}
 }
 
-// Gather merges the metric shards of every completed run the engine has
-// executed into one aggregate. Shard merging is commutative integer
-// addition (obs.RunMetrics), so the aggregate is byte-identical for the
-// same submission set at any worker count.
+// Gather returns a copy of the engine's metrics aggregate: the shards of
+// every run executed so far, plus those RecordMetrics folded in. Shard
+// merging is commutative integer addition (obs.RunMetrics), so the
+// aggregate is byte-identical for the same submission set at any worker
+// count.
 func (e *Engine) Gather() *obs.RunMetrics {
-	e.mu.Lock()
-	calls := make([]*runCall, 0, len(e.cache)+len(e.uncached))
-	for _, c := range e.cache {
-		//paralint:allow(collection order is erased by the commutative Merge below)
-		calls = append(calls, c)
-	}
-	calls = append(calls, e.uncached...)
-	ext := append([]*obs.RunMetrics(nil), e.external...)
-	e.mu.Unlock()
-
 	m := obs.NewRunMetrics()
-	for _, sh := range ext {
-		m.Merge(sh)
-	}
-	for _, c := range calls {
-		select {
-		case <-c.done:
-			if c.err == nil && c.res != nil && c.res.Metrics != nil {
-				m.Merge(c.res.Metrics)
-			}
-		default: // still in flight; its shard is not readable yet
-		}
-	}
+	e.mu.Lock()
+	m.Merge(e.metrics)
+	e.mu.Unlock()
 	return m
 }
 
 // RecordMetrics folds an externally produced shard (e.g. a fault
 // campaign's merged trial metrics) into the engine's aggregate.
 func (e *Engine) RecordMetrics(m *obs.RunMetrics) {
-	if m == nil {
-		return
-	}
 	e.mu.Lock()
-	e.external = append(e.external, m)
+	e.metrics.Merge(m)
 	e.mu.Unlock()
 }
 
@@ -244,10 +221,6 @@ func (e *Engine) Submit(cfg core.Config, ws []core.Workload) *Future {
 		}
 		e.cache[key] = c
 		e.mu.Unlock()
-	} else {
-		e.mu.Lock()
-		e.uncached = append(e.uncached, c)
-		e.mu.Unlock()
 	}
 	e.start(cfg, c)
 	return &Future{c: c}
@@ -303,6 +276,7 @@ func (e *Engine) start(cfg core.Config, c *runCall) {
 		}
 		if c.err == nil && c.res.Metrics != nil {
 			e.segs.Add(int64(c.res.Metrics.Segments))
+			e.RecordMetrics(c.res.Metrics)
 		}
 		e.done.Add(1)
 		close(c.done)

@@ -71,6 +71,27 @@ func (s *absState) join(o *absState) bool {
 	return changed
 }
 
+// equal reports whether s and o are the same state, field by field. The
+// small AbsVal and FVal comparisons compile inline; comparing whole
+// absStates with != goes through a generated equality function and
+// memeqbody instead.
+func (s *absState) equal(o *absState) bool {
+	if s.live != o.live {
+		return false
+	}
+	for r := range s.x {
+		if s.x[r] != o.x[r] {
+			return false
+		}
+	}
+	for r := range s.f {
+		if s.f[r] != o.f[r] {
+			return false
+		}
+	}
+	return true
+}
+
 // widenFrom applies widening with s as the previous loop-head state and
 // o as the new incoming join, reporting whether s changed.
 func (s *absState) widenFrom(o *absState) bool {
@@ -327,7 +348,7 @@ func narrow(p *isa.Program, succs [][]int, order []int, res *absResult) {
 			if !acc.live {
 				continue // keep the fixpoint state rather than going bottom
 			}
-			if acc != res.in[pc] {
+			if !acc.equal(&res.in[pc]) {
 				res.in[pc] = acc
 				changed = true
 			}
